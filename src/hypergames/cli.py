@@ -11,6 +11,7 @@ passed, 1 when a check failed, 2 on usage or input errors.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -35,6 +36,7 @@ from .parrondo import (
     Multiplexer3,
     capital_game_stationary,
     capital_p_gain,
+    capital_transition_matrix,
     classify_gain,
     fna_p_win,
     hd_p_gain,
@@ -44,6 +46,7 @@ from .parrondo import (
     mux_from_coins,
     parrondo_effect_check,
     proper_initial_state,
+    proper_quantized_gains,
     quantized_p_gain,
     superpose_mux,
 )
@@ -57,21 +60,23 @@ class InputError(Exception):
     """Bad user input that should exit with status 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors raise InputError.
+
+    main then reports them like any other bad input: one error line, exit 2.
+    """
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def parse_strategy(text):
     """Parse 'reA,imA,reB,imB' into a unit (A, B) pair.
 
     Norms within NORM_WARN of 1 pass silently; up to NORM_ERROR they are
     normalized with a warning; beyond that the input is rejected.
     """
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise InputError(
-            "strategy %r must be four comma-separated reals 'reA,imA,reB,imB'" % text
-        )
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError:
-        raise InputError("strategy %r contains a non-numeric entry" % text)
+    vals = parse_float_list(text, 4, "strategy reA,imA,reB,imB")
     a = complex(vals[0], vals[1])
     b = complex(vals[2], vals[3])
     norm = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
@@ -86,13 +91,36 @@ def parse_strategy(text):
 
 
 def parse_float_list(text, count, flag):
+    """Exactly count comma-separated finite reals."""
     parts = text.split(",")
     if len(parts) != count:
         raise InputError("%s needs %d comma-separated reals, got %r" % (flag, count, text))
     try:
-        return [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError:
         raise InputError("%s contains a non-numeric entry: %r" % (flag, text))
+    if not np.all(np.isfinite(vals)):
+        raise InputError("%s contains a non-finite entry: %r" % (flag, text))
+    return vals
+
+
+def _positive(convert, what):
+    """argparse type: convert the text and require a finite value above 0."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            if 0 < value < math.inf:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError("must be a %s, got %r" % (what, text))
+
+    return parse
+
+
+positive_int = _positive(int, "positive integer")
+positive_float = _positive(float, "finite positive real")
 
 
 def parse_seed(text):
@@ -118,6 +146,19 @@ def resolve_game(source):
         "game %r is neither a file nor a bundled table %s"
         % (source, list(BUILTIN_GAME_NAMES))
     )
+
+
+def _deviation_check(deviation, tol):
+    return {
+        "max_deviation": float(deviation),
+        "tolerance": float(tol),
+        "passed": bool(deviation < tol),
+    }
+
+
+def _fixed_point_check(matrix, stationary):
+    """How far one step of the chain moves its stationary state."""
+    return _deviation_check(np.max(np.abs(matrix @ stationary - stationary)), 1e-12)
 
 
 def _coerce_params(text, flag="--coins"):
@@ -175,11 +216,7 @@ def cmd_distribution(args):
         deviation = closed.max_deviation(oracle)
         report["distribution"] = closed.as_dict()
         report["oracle_distribution"] = oracle.as_dict()
-        report["comparison"] = {
-            "max_deviation": float(deviation),
-            "tolerance": float(args.tol),
-            "passed": bool(deviation < args.tol),
-        }
+        report["comparison"] = _deviation_check(deviation, args.tol)
         if not report["comparison"]["passed"]:
             code = 1
 
@@ -269,23 +306,16 @@ def cmd_verify(args):
     return (0 if report["passed"] else 1), report
 
 
-def _quantum_gain_checks(coins, tol=1e-12):
-    """Classical gain, both proper quantizations, and their deviations."""
-    classical = hd_p_gain(coins)
-    init = proper_initial_state(hd_stationary(coins))
-    rows = []
-    for kind in (TYPE1, TYPE2):
-        quantum = quantized_p_gain(mux_from_coins(coins, CoinEmbedding(kind)), init, 0)
-        rows.append(
-            {
-                "embedding": kind,
-                "p_gain": float(quantum),
-                "deviation": float(abs(quantum - classical)),
-                "tolerance": tol,
-                "passed": bool(abs(quantum - classical) < tol),
-            }
-        )
-    return classical, rows
+def _gain_row(key, name, value, classical, tol=1e-12):
+    """One quantized gain checked against the classical gain it should equal."""
+    deviation = abs(value - classical)
+    return {
+        key: name,
+        "p_gain": float(value),
+        "deviation": float(deviation),
+        "tolerance": tol,
+        "passed": bool(deviation < tol),
+    }
 
 
 def cmd_parrondo(args):
@@ -295,22 +325,20 @@ def cmd_parrondo(args):
         coins = _coerce_params(args.coins)
         try:
             stationary = hd_stationary(coins)
-            classical, quantum = _quantum_gain_checks(coins)
+            classical, gains = proper_quantized_gains(coins)
         except ValueError as exc:
             raise InputError(str(exc))
-        residual = float(
-            np.max(np.abs(hd_transition_matrix(coins) @ stationary - stationary))
-        )
+        quantum = [
+            _gain_row("embedding", kind, gain, classical) for kind, gain in gains.items()
+        ]
         report = {
             "command": "parrondo",
             "game": "hd",
             "coins": list(coins),
             "stationary": [float(x) for x in stationary],
-            "fixed_point_residual": {
-                "max_deviation": residual,
-                "tolerance": 1e-12,
-                "passed": bool(residual < 1e-12),
-            },
+            "fixed_point_residual": _fixed_point_check(
+                hd_transition_matrix(coins), stationary
+            ),
             "classical_p_gain": float(classical),
             "quantum_p_gain": quantum,
             "classification": classify_gain(classical),
@@ -331,25 +359,14 @@ def cmd_parrondo(args):
             gain = capital_p_gain(args.p1, args.p2)
         except ValueError as exc:
             raise InputError(str(exc))
-        from .parrondo import capital_transition_matrix
-
-        residual = float(
-            np.max(
-                np.abs(
-                    capital_transition_matrix(args.p1, args.p2) @ stationary - stationary
-                )
-            )
-        )
         report = {
             "command": "parrondo",
             "game": "capital",
             "coins": [float(args.p1), float(args.p2)],
             "stationary": [float(x) for x in stationary],
-            "fixed_point_residual": {
-                "max_deviation": residual,
-                "tolerance": 1e-12,
-                "passed": bool(residual < 1e-12),
-            },
+            "fixed_point_residual": _fixed_point_check(
+                capital_transition_matrix(args.p1, args.p2), stationary
+            ),
             "classical_p_gain": float(gain),
             "classification": classify_gain(gain),
         }
@@ -374,18 +391,10 @@ def cmd_parrondo(args):
             ),
         )
         second = mux_from_coins(mixture_gain_first, CoinEmbedding(TYPE1))
-        quantum = []
-        for label, mux in (("superposed", superposed), ("second_quantization", second)):
-            value = quantized_p_gain(mux, init, 0)
-            quantum.append(
-                {
-                    "construction": label,
-                    "p_gain": float(value),
-                    "deviation": float(abs(value - classical)),
-                    "tolerance": 1e-12,
-                    "passed": bool(abs(value - classical) < 1e-12),
-                }
-            )
+        quantum = [
+            _gain_row("construction", label, quantized_p_gain(mux, init, 0), classical)
+            for label, mux in (("superposed", superposed), ("second_quantization", second))
+        ]
         report = {
             "command": "parrondo",
             "game": "sequence",
@@ -411,7 +420,6 @@ def cmd_parrondo(args):
     p_win = fna_p_win(gates, equal, equal, equal)
     state = np.kron(np.kron(equal, equal), equal)
     direct = quantized_p_gain(Multiplexer3(gates), state, 1)
-    deviation = abs(p_win - direct)
     report = {
         "command": "parrondo",
         "game": "fna",
@@ -420,11 +428,7 @@ def cmd_parrondo(args):
         "etas": etas,
         "p_win": float(p_win),
         "simulated_p_win": float(direct),
-        "comparison": {
-            "max_deviation": float(deviation),
-            "tolerance": 1e-12,
-            "passed": bool(deviation < 1e-12),
-        },
+        "comparison": _deviation_check(abs(p_win - direct), 1e-12),
         "classification": classify_gain(p_win),
     }
     return (0 if report["comparison"]["passed"] else 1), report
@@ -440,6 +444,16 @@ def _render_check(prefix, entry):
         _fmt(entry["max_deviation"]),
         _fmt(entry["tolerance"]),
         "PASS" if entry["passed"] else "FAIL",
+    )
+
+
+def _render_gain(name, row):
+    return "quantum p_gain (%s): %s (deviation %s, tolerance %s): %s" % (
+        name,
+        _fmt(row["p_gain"]),
+        _fmt(row["deviation"]),
+        _fmt(row["tolerance"]),
+        "PASS" if row["passed"] else "FAIL",
     )
 
 
@@ -520,16 +534,7 @@ def render_text(report):
             )
             lines.append("classical p_gain: %s" % _fmt(report["classical_p_gain"]))
             for row in report.get("quantum_p_gain", []):
-                lines.append(
-                    "quantum p_gain (%s embedding): %s (deviation %s, tolerance %s): %s"
-                    % (
-                        row["embedding"],
-                        _fmt(row["p_gain"]),
-                        _fmt(row["deviation"]),
-                        _fmt(row["tolerance"]),
-                        "PASS" if row["passed"] else "FAIL",
-                    )
-                )
+                lines.append(_render_gain("%s embedding" % row["embedding"], row))
             lines.append("classification: %s" % report["classification"])
         elif game == "sequence":
             effect = report["effect_check"]
@@ -538,16 +543,7 @@ def render_text(report):
             lines.append("game B p_gain: %s" % _fmt(effect["p_gain_b"]))
             lines.append("mixture p_gain: %s" % _fmt(effect["p_gain_mixture"]))
             for row in report["quantum_p_gain"]:
-                lines.append(
-                    "quantum p_gain (%s): %s (deviation %s, tolerance %s): %s"
-                    % (
-                        row["construction"],
-                        _fmt(row["p_gain"]),
-                        _fmt(row["deviation"]),
-                        _fmt(row["tolerance"]),
-                        "PASS" if row["passed"] else "FAIL",
-                    )
-                )
+                lines.append(_render_gain(row["construction"], row))
             lines.append("Parrondo effect: %s" % ("YES" if effect["effect"] else "NO"))
         else:
             lines.append("product-state quantization p_win: %s" % _fmt(report["p_win"]))
@@ -566,7 +562,7 @@ def build_parser():
         "--seed", type=parse_seed, default=0, help="seed for randomized checks"
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypergames",
         description="Hypercomplex coordinatizations of quantized coin and matrix games.",
     )
@@ -590,7 +586,8 @@ def build_parser():
     )
     p_dist.add_argument("--game", help="payoff table (file path or bundled name)")
     p_dist.add_argument(
-        "--tol", type=float, default=1e-10, help="comparison tolerance for --method both"
+        "--tol", type=positive_float, default=1e-10,
+        help="comparison tolerance for --method both",
     )
     p_dist.set_defaults(func=cmd_distribution)
 
@@ -600,8 +597,12 @@ def build_parser():
         help="quarter-weight mixed-strategy analysis of a 3-player table",
     )
     p_eq.add_argument("game", help="payoff table (file path or bundled name)")
-    p_eq.add_argument("--samples", type=int, default=1000, help="deviation samples per player")
-    p_eq.add_argument("--tol", type=float, default=1e-10, help="indifference tolerance")
+    p_eq.add_argument(
+        "--samples", type=positive_int, default=1000, help="deviation samples per player"
+    )
+    p_eq.add_argument(
+        "--tol", type=positive_float, default=1e-10, help="indifference tolerance"
+    )
     p_eq.set_defaults(func=cmd_equilibrium)
 
     p_ver = sub.add_parser(
@@ -613,7 +614,8 @@ def build_parser():
         default="all",
     )
     p_ver.add_argument(
-        "--samples", type=int, default=None, help="override the suite's sample count"
+        "--samples", type=positive_int, default=None,
+        help="override the suite's sample count",
     )
     p_ver.set_defaults(func=cmd_verify)
 
@@ -637,9 +639,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code, report = args.func(args)
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -15,7 +15,7 @@ tables record that correspondence.
 
 import numpy as np
 
-from .hypercomplex import SUBALGEBRA_UNITS, Octonion, Quaternion, oct_mul, quat_mul
+from .hypercomplex import SUBALGEBRA_UNITS, Octonion, complex_pair_mul, oct_mul
 from .qstate import (
     ACTION_LABELS2,
     ACTION_LABELS3,
@@ -24,15 +24,20 @@ from .qstate import (
     SQRT3,
     OutcomeDistribution,
     SU2Gate,
+    batch_of_one,
 )
 
 # Octonion basis index -> outcome label.  Index 0 is the real unit.
 OUTCOME_OF_INDEX = ("NNN", "FFF", "NFF", "FFN", "FNN", "FNF", "NFN", "NNF")
 INDEX_OF_OUTCOME = {label: k for k, label in enumerate(OUTCOME_OF_INDEX)}
+# Basis index of each ACTION_LABELS3 entry: indexing an index-ordered
+# trailing axis with it puts the columns in label order.
+LABEL_ORDER = np.array([INDEX_OF_OUTCOME[label] for label in ACTION_LABELS3])
+# Label-order columns that read off the g products; the rest read off h.
+_FROM_G = np.isin(LABEL_ORDER, (0, 1, 3, 7))
 
 # Basis indices that may appear as a pure basis strategy, per player.
 PLAYER_BASIS = {p: (0,) + SUBALGEBRA_UNITS[p] for p in (1, 2, 3)}
-_ALLOWED_BASIS = {p: frozenset(PLAYER_BASIS[p]) for p in (1, 2, 3)}
 
 
 class OctStrategyFamily:
@@ -40,8 +45,8 @@ class OctStrategyFamily:
 
     o00 is the embedded strategy itself.  o10 negates the coefficient of the
     real unit and o01 negates the coefficient of the shared imaginary unit
-    i1.  The closed-form distribution is a polynomial in these variants
-    rather than in o00 alone.
+    i1.  The closed-form distribution is a polynomial in these variants,
+    which the kernel forms from o00 alone.
     """
 
     __slots__ = ("player", "o00", "o10", "o01")
@@ -59,12 +64,8 @@ class OctStrategyFamily:
         return "OctStrategyFamily(player=%r, o00=%r)" % (self.player, self.o00)
 
 
-def _family_coeffs(player, A, B):
-    """Coefficient arrays, shape (..., 8), for the o00, o10, o01 variants.
-
-    Broadcasts over stacked strategy pairs; the trailing axis is the
-    octonion coordinate.
-    """
+def _embed(player, A, B):
+    """Embedded coefficients, shape (..., 8), of stacked strategy pairs."""
     if player not in SUBALGEBRA_UNITS:
         raise ValueError("player must be 1, 2, or 3, got %r" % (player,))
     A = np.asarray(A, dtype=complex)
@@ -72,16 +73,19 @@ def _family_coeffs(player, A, B):
     if not np.allclose(np.abs(A) ** 2 + np.abs(B) ** 2, 1.0, atol=1e-9):
         raise ValueError("strategy pair must satisfy |A|^2 + |B|^2 = 1")
     _, mid, high = SUBALGEBRA_UNITS[player]
-    c00 = np.zeros(np.broadcast(A, B).shape + (8,))
-    c00[..., 0] = A.real
-    c00[..., 1] = A.imag
-    c00[..., mid] = SQRT3 / 2.0 * B.real - 0.5 * B.imag
-    c00[..., high] = 0.5 * B.real + SQRT3 / 2.0 * B.imag
-    c10 = c00.copy()
-    c10[..., 0] *= -1.0
-    c01 = c00.copy()
-    c01[..., 1] *= -1.0
-    return c00, c10, c01
+    c = np.zeros(np.broadcast(A, B).shape + (8,))
+    c[..., 0] = A.real
+    c[..., 1] = A.imag
+    c[..., mid] = SQRT3 / 2.0 * B.real - 0.5 * B.imag
+    c[..., high] = 0.5 * B.real + SQRT3 / 2.0 * B.imag
+    return c
+
+
+def _negated(c, k):
+    """Sign variant: a copy of the coefficients with coordinate k negated."""
+    out = c.copy()
+    out[..., k] *= -1.0
+    return out
 
 
 def embed3(player, A, B):
@@ -89,40 +93,40 @@ def embed3(player, A, B):
 
     The real and i1 coefficients carry A; the other two imaginary units of
     the player's quaternion triple carry B twisted by a sixth root of
-    unity.  Returns the family of sign variants used by the closed form.
+    unity.  Returns the family of sign variants of the embedding.
     """
-    c00, c10, c01 = _family_coeffs(player, A, B)
-    if c00.ndim != 1:
+    c = _embed(player, A, B)
+    if c.ndim != 1:
         raise ValueError("embed3 expects scalar strategy pairs")
-    return OctStrategyFamily(player, Octonion(c00), Octonion(c10), Octonion(c01))
+    return OctStrategyFamily(
+        player, Octonion(c), Octonion(_negated(c, 0)), Octonion(_negated(c, 1))
+    )
 
 
-def _closed_form_probs(s10, s01, t00, t10, u00, u01):
-    """Outcome probabilities in basis-index order from family coefficients.
+def _theorem1_kernel(s, t, u):
+    """Outcome probabilities, columns in ACTION_LABELS3 order.
 
-    Half of the outcomes read off the triple product (s t10) u01, the other
-    half off (s t00) u00, with s running over the two sign variants of
-    player 1.  Each probability is the sum of two squared projections.
+    s, t, u are the three players' embedded coefficients, broadcasting.
+    Half of the outcomes read off g = (s' t10) u01, the other half off
+    h = (s' t00) u00, where s' runs over the half sum and half difference of
+    player 1's variants o10 and o01.  By bilinearity those are player 1's
+    B part and (-Re A, Im A), so each of g+-, h+- is one triple product and
+    each probability is the sum of two squared projections.
     """
-    left_a = oct_mul(oct_mul(s10, t10), u01)
-    left_b = oct_mul(oct_mul(s01, t10), u01)
-    g_plus = 0.5 * (left_a + left_b)
-    g_minus = 0.5 * (left_a - left_b)
-    right_a = oct_mul(oct_mul(s10, t00), u00)
-    right_b = oct_mul(oct_mul(s01, t00), u00)
-    h_plus = 0.5 * (right_a + right_b)
-    h_minus = 0.5 * (right_a - right_b)
-    probs = np.empty(np.asarray(g_plus).shape)
-    for k in (0, 1, 3, 7):
-        probs[..., k] = g_plus[..., k] ** 2 + g_minus[..., k] ** 2
-    for k in (2, 4, 5, 6):
-        probs[..., k] = h_plus[..., k] ** 2 + h_minus[..., k] ** 2
-    return probs
-
-
-def _distribution_from_index_probs(probs):
-    ordered = [float(probs[INDEX_OF_OUTCOME[label]]) for label in ACTION_LABELS3]
-    return OutcomeDistribution(ACTION_LABELS3, ordered)
+    s_plus = s.copy()
+    s_plus[..., :2] = 0.0
+    s_minus = np.zeros_like(s)
+    s_minus[..., 0] = -s[..., 0]
+    s_minus[..., 1] = s[..., 1]
+    t10 = _negated(t, 0)
+    u01 = _negated(u, 1)
+    g_plus = oct_mul(oct_mul(s_plus, t10), u01)
+    g_minus = oct_mul(oct_mul(s_minus, t10), u01)
+    h_plus = oct_mul(oct_mul(s_plus, t), u)
+    h_minus = oct_mul(oct_mul(s_minus, t), u)
+    g = g_plus**2 + g_minus**2
+    h = h_plus**2 + h_minus**2
+    return np.where(_FROM_G, g[..., LABEL_ORDER], h[..., LABEL_ORDER])
 
 
 def theorem1_distribution(fam1, fam2, fam3):
@@ -130,17 +134,11 @@ def theorem1_distribution(fam1, fam2, fam3):
 
     Takes one strategy family per player, as produced by embed3, and
     evaluates the eight outcome probabilities purely by octonion
-    arithmetic.
+    arithmetic, in the kernel behind theorem1_probs_batch.
     """
-    probs = _closed_form_probs(
-        fam1.o10.c,
-        fam1.o01.c,
-        fam2.o00.c,
-        fam2.o10.c,
-        fam3.o00.c,
-        fam3.o01.c,
+    return OutcomeDistribution(
+        ACTION_LABELS3, _theorem1_kernel(fam1.o00.c, fam2.o00.c, fam3.o00.c)
     )
-    return _distribution_from_index_probs(probs)
 
 
 def theorem1_probs_batch(A, B, P, Q, E, F):
@@ -149,15 +147,10 @@ def theorem1_probs_batch(A, B, P, Q, E, F):
     Returns probabilities of shape (..., 8) with columns in ACTION_LABELS3
     order, matching qstate.oracle_probs3_batch for easy comparison.
     """
-    _, s10, s01 = _family_coeffs(1, A, B)
-    t00, t10, _ = _family_coeffs(2, P, Q)
-    u00, _, u01 = _family_coeffs(3, E, F)
-    probs = _closed_form_probs(s10, s01, t00, t10, u00, u01)
-    order = [INDEX_OF_OUTCOME[label] for label in ACTION_LABELS3]
-    return probs[..., order]
+    return _theorem1_kernel(_embed(1, A, B), _embed(2, P, Q), _embed(3, E, F))
 
 
-def _basis_index(o, player):
+def basis_index(o, player):
     """Basis index of a pure basis-element strategy, validating the player set."""
     c = o.c if isinstance(o, Octonion) else np.asarray(o, dtype=float)
     if c.shape != (8,):
@@ -166,11 +159,32 @@ def _basis_index(o, player):
     if hot.size != 1 or abs(c[hot[0]] - 1.0) > 1e-12:
         raise ValueError("strategy must be a single basis element with coefficient 1")
     k = int(hot[0])
-    if k not in _ALLOWED_BASIS[player]:
+    basis_slot(player, k)
+    return k
+
+
+def basis_slot(player, k):
+    """Position of basis index k in PLAYER_BASIS[player]."""
+    if k not in PLAYER_BASIS[player]:
         raise ValueError(
             "basis element i_%d is not in player %d's subalgebra" % (k, player)
         )
-    return k
+    return PLAYER_BASIS[player].index(k)
+
+
+def _basis_outcomes():
+    """Outcome distributions of all 64 basis-strategy triples.
+
+    One batched product (s t) u over every triple, shape (4, 4, 4, 8): axis
+    p - 1 follows PLAYER_BASIS[p] and the columns follow ACTION_LABELS3.
+    """
+    s, t, u = (np.eye(8)[list(PLAYER_BASIS[p])] for p in (1, 2, 3))
+    w = oct_mul(oct_mul(s[:, None, None], t[None, :, None]), u[None, None, :])
+    return w[..., LABEL_ORDER] ** 2
+
+
+BASIS_OUTCOMES = _basis_outcomes()
+BASIS_OUTCOMES.setflags(write=False)
 
 
 def corollary_distribution(s, t, u):
@@ -179,13 +193,13 @@ def corollary_distribution(s, t, u):
     For basis strategies the closed form collapses to the squared
     projections of the single product (s t) u, which is always plus or
     minus a basis element, so the result is a point mass on one outcome.
+    Reads the triple's row of BASIS_OUTCOMES.
     """
-    cs = [None, None, None]
-    for slot, (o, player) in enumerate(((s, 1), (t, 2), (u, 3))):
-        _basis_index(o, player)
-        cs[slot] = o.c if isinstance(o, Octonion) else np.asarray(o, dtype=float)
-    w = oct_mul(oct_mul(cs[0], cs[1]), cs[2])
-    return _distribution_from_index_probs(np.asarray(w) ** 2)
+    slots = tuple(
+        PLAYER_BASIS[player].index(basis_index(o, player))
+        for o, player in ((s, 1), (t, 2), (u, 3))
+    )
+    return OutcomeDistribution(ACTION_LABELS3, BASIS_OUTCOMES[slots])
 
 
 def su2_of_basis(o, player):
@@ -195,7 +209,7 @@ def su2_of_basis(o, player):
     the player's subalgebra; used to drive the simulation oracle on basis
     strategies.
     """
-    k = _basis_index(o, player)
+    k = basis_index(o, player)
     shared, mid, _ = SUBALGEBRA_UNITS[player]
     if k == 0:
         return SU2Gate(1.0, 0.0)
@@ -206,47 +220,31 @@ def su2_of_basis(o, player):
     return SU2Gate(0.0, ETA3)
 
 
-def _penny_pair_product(A, B, P, Q):
-    """Complex-pair coordinates of the quaternion product p q.
-
-    p carries the first player's pair with its flip component twisted by an
-    eighth root of unity, q the second player's with the conjugate twist.
-    Broadcasts over stacked inputs.
-    """
-    p0, p1 = A, B * ETA2
-    q0, q1 = P, -ETA2 * np.conj(Q)
-    return p0 * q0 - p1 * np.conj(q1), p1 * np.conj(q0) + p0 * q1
-
-
-def landsburg_probs(A, B, P, Q):
-    """Two player outcome distribution from a single quaternion product.
-
-    The four outcome probabilities are the squared real coordinates of the
-    product quaternion, normalized to guard against rounding drift.
-    """
-    A, B, P, Q = complex(A), complex(B), complex(P), complex(Q)
-    for x, y in ((A, B), (P, Q)):
-        if abs(abs(x) ** 2 + abs(y) ** 2 - 1.0) > 1e-9:
-            raise ValueError("strategy pair must satisfy |A|^2 + |B|^2 = 1")
-    p = Quaternion.from_complex_pair(A, B * ETA2)
-    q = Quaternion.from_complex_pair(P, -ETA2 * np.conj(Q))
-    first, second = quat_mul(p, q).complex_pair
-    probs = np.array(
-        [first.real**2, second.real**2, second.imag**2, first.imag**2]
-    )
-    return OutcomeDistribution(ACTION_LABELS2, probs / probs.sum())
-
-
 def landsburg_probs_batch(A, B, P, Q):
     """Vectorized quaternion closed form for stacked two player pairs.
 
-    Returns probabilities of shape (..., 4) with columns in ACTION_LABELS2
-    order, matching qstate.oracle_probs2_batch.
+    The first player's pair becomes the quaternion A + B eta j, the second's
+    P - eta conj(Q) j, with eta the eighth root of unity.  The outcome
+    probabilities are the squared real coordinates of their product,
+    normalized to guard against rounding drift.  Returns shape (..., 4) with
+    columns in ACTION_LABELS2 order, matching qstate.oracle_probs2_batch.
     """
     A, B, P, Q = (np.asarray(z, dtype=complex) for z in (A, B, P, Q))
-    first, second = _penny_pair_product(A, B, P, Q)
+    first, second = complex_pair_mul(A, B * ETA2, P, -ETA2 * np.conj(Q))
     probs = np.stack(
         [first.real**2, second.real**2, second.imag**2, first.imag**2],
         axis=-1,
     )
     return probs / probs.sum(axis=-1, keepdims=True)
+
+
+def landsburg_probs(A, B, P, Q):
+    """Two player outcome distribution from a single quaternion product.
+
+    A batch of one through landsburg_probs_batch, for unit pairs only.
+    """
+    for x, y in ((A, B), (P, Q)):
+        if abs(abs(complex(x)) ** 2 + abs(complex(y)) ** 2 - 1.0) > 1e-9:
+            raise ValueError("strategy pair must satisfy |A|^2 + |B|^2 = 1")
+    probs = landsburg_probs_batch(*batch_of_one(A, B, P, Q))
+    return OutcomeDistribution(ACTION_LABELS2, probs[0])

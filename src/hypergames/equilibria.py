@@ -22,8 +22,12 @@ from importlib import resources
 import numpy as np
 
 from .coordgame import (
+    BASIS_OUTCOMES,
     INDEX_OF_OUTCOME,
+    LABEL_ORDER,
     PLAYER_BASIS,
+    basis_index,
+    basis_slot,
     corollary_distribution,
     embed3,
     su2_of_basis,
@@ -96,16 +100,13 @@ class Game3Payoffs:
 
     def in_label_order(self, player):
         """Payoff vector for one player ordered like ACTION_LABELS3."""
-        w = self.payoffs_for(player)
-        return np.array([w[INDEX_OF_OUTCOME[label]] for label in ACTION_LABELS3])
+        return self.payoffs_for(player)[LABEL_ORDER]
 
     def zero_sum_defects(self, tol=1e-9):
         """Outcome labels whose payoffs do not sum to zero, with the sums."""
-        sums = self.X + self.Y + self.Z
+        sums = (self.X + self.Y + self.Z)[LABEL_ORDER]
         return [
-            (label, float(sums[INDEX_OF_OUTCOME[label]]))
-            for label in ACTION_LABELS3
-            if abs(sums[INDEX_OF_OUTCOME[label]]) > tol
+            (label, float(x)) for label, x in zip(ACTION_LABELS3, sums) if abs(x) > tol
         ]
 
     def __repr__(self):
@@ -209,29 +210,15 @@ class DiscreteQuantumMixture:
             weight = float(weight)
             if weight < -1e-15:
                 raise ValueError("mixture weights must be nonnegative")
-            index = self._element_index(element)
-            if index not in PLAYER_BASIS[player]:
-                raise ValueError(
-                    "basis element i_%d is not available to player %d"
-                    % (index, player)
-                )
+            if isinstance(element, Octonion):
+                element = basis_index(element, player)
+            index = int(element)
+            basis_slot(player, index)
             cleaned.append((index, weight))
             total += weight
         if abs(total - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1, got %r" % total)
         self.support = tuple(cleaned)
-
-    @staticmethod
-    def _element_index(element):
-        if isinstance(element, Octonion):
-            hot = np.flatnonzero(np.abs(element.c) > 1e-12)
-            if hot.size != 1 or abs(element.c[hot[0]] - 1.0) > 1e-12:
-                raise ValueError("support elements must be basis elements")
-            return int(hot[0])
-        index = int(element)
-        if index < 0 or index > 7:
-            raise ValueError("basis index must lie in 0..7")
-        return index
 
     def __repr__(self):
         return "DiscreteQuantumMixture(player=%d, support=%r)" % (
@@ -253,28 +240,21 @@ def payoff_pure_basis(k, s, t, u, game):
     The outcome distribution is a point mass, so this reads off a single
     entry of the payoff table.
     """
-    dist = corollary_distribution(s, t, u)
-    w = game.payoffs_for(k)
-    return float(
-        np.dot(dist.probs, [w[INDEX_OF_OUTCOME[label]] for label in dist.labels])
-    )
+    return float(corollary_distribution(s, t, u).probs @ game.in_label_order(k))
 
 
 def expected_payoff_mixture(k, m1, m2, m3, game):
-    """Expected payoff to player k under independent basis mixtures."""
-    total = 0.0
-    for i, wi in m1.support:
-        si = Octonion.basis(i)
-        for j, wj in m2.support:
-            tj = Octonion.basis(j)
-            for l, wl in m3.support:
-                weight = wi * wj * wl
-                if weight == 0.0:
-                    continue
-                total += weight * payoff_pure_basis(
-                    k, si, tj, Octonion.basis(l), game
-                )
-    return float(total)
+    """Expected payoff to player k under independent basis mixtures.
+
+    Contracts the three mixtures' weights with the payoff of every
+    basis-strategy triple, read from the BASIS_OUTCOMES table.
+    """
+    weights = np.zeros((3, 4))
+    for slot, mixture in enumerate((m1, m2, m3)):
+        for index, weight in mixture.support:
+            weights[slot, basis_slot(slot + 1, index)] += weight
+    payoffs = BASIS_OUTCOMES @ game.in_label_order(k)
+    return float(np.einsum("i,j,l,ijl->", *weights, payoffs))
 
 
 def payoff_pure_quantum(k, strat1, strat2, strat3, game):
@@ -287,10 +267,7 @@ def payoff_pure_quantum(k, strat1, strat2, strat3, game):
         embed3(2, strat2.x, strat2.y),
         embed3(3, strat3.x, strat3.y),
     )
-    w = game.payoffs_for(k)
-    return float(
-        np.dot(dist.probs, [w[INDEX_OF_OUTCOME[label]] for label in dist.labels])
-    )
+    return float(dist.probs @ game.in_label_order(k))
 
 
 def _random_subalgebra_pairs(rng, samples):

@@ -179,16 +179,20 @@ class Quaternion:
         return "Quaternion(%g, %g, %g, %g)" % (self.w, self.x, self.y, self.z)
 
 
-def quat_mul(a, b):
-    """Hamilton product via the complex-pair rule.
+def complex_pair_mul(a0, a1, b0, b1):
+    """Hamilton product in complex-pair coordinates, broadcasting.
 
     (a0 + a1 j)(b0 + b1 j) = (a0 b0 - a1 conj(b1)) + (a1 conj(b0) + a0 b1) j,
-    which is the bilinear extension of z*j = j*conj(z).
+    which is the bilinear extension of z*j = j*conj(z).  Accepts complex
+    scalars or stacked arrays and returns the product's pair.
     """
-    a0, a1 = a.complex_pair
-    b0, b1 = b.complex_pair
+    return a0 * b0 - a1 * np.conj(b1), a1 * np.conj(b0) + a0 * b1
+
+
+def quat_mul(a, b):
+    """Hamilton product of two Quaternions via complex_pair_mul."""
     return Quaternion.from_complex_pair(
-        a0 * b0 - a1 * np.conj(b1), a1 * np.conj(b0) + a0 * b1
+        *complex_pair_mul(*a.complex_pair, *b.complex_pair)
     )
 
 

@@ -254,6 +254,21 @@ def quantized_p_gain(m, init, win_qubit_value):
     return float(probs[win_qubit_value::2].sum())
 
 
+def proper_quantized_gains(p):
+    """Classical gain of the history game and of its two proper quantizations.
+
+    Returns (classical, {TYPE1: gain, TYPE2: gain}).  Each quantization
+    applies the coins' multiplexer once to the stationary-weighted embedded
+    state; being proper, both reproduce the classical gain.
+    """
+    classical = hd_p_gain(p)
+    init = proper_initial_state(hd_stationary(p))
+    return classical, {
+        kind: quantized_p_gain(mux_from_coins(p, CoinEmbedding(kind)), init, 0)
+        for kind in (TYPE1, TYPE2)
+    }
+
+
 class SuperposedMux:
     """Weighted sum of two multiplexers.
 

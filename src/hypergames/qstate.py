@@ -160,26 +160,27 @@ def action_basis3(eta_value=ETA3):
     return {lbl: m[:, k].copy() for k, lbl in enumerate(ACTION_LABELS3)}
 
 
+def _in_action_basis(v, m):
+    """Rows of v expressed in the action basis whose columns are m.
+
+    Applies the conjugate transpose of m to each row.  einsum rather than
+    matmul: its per-row sum order does not depend on the batch size, so a
+    batch of one reproduces the matching row of any batch bit for bit.
+    """
+    return np.einsum("...i,ij->...j", np.asarray(v, dtype=complex), np.conj(m))
+
+
 def to_action_basis3(v, eta_value=ETA3):
     """Express computational-basis amplitudes in the action basis.
 
-    Applies the conjugate transpose of basis_matrix3 on the left. Handles a
-    single 8-vector or a stack of rows shaped (n, 8).
+    Handles a single 8-vector or a stack of rows shaped (..., 8).
     """
-    m = basis_matrix3(eta_value)
-    v = np.asarray(v, dtype=complex)
-    if v.ndim == 1:
-        return np.conj(m).T @ v
-    return v @ np.conj(m)
+    return _in_action_basis(v, basis_matrix3(eta_value))
 
 
 def from_action_basis3(w, eta_value=ETA3):
     """Inverse of to_action_basis3 (the matrix pair multiplies to 2*I)."""
-    m = basis_matrix3(eta_value)
-    w = np.asarray(w, dtype=complex)
-    if w.ndim == 1:
-        return m @ w / 2.0
-    return w @ m.T / 2.0
+    return np.asarray(w, dtype=complex) @ basis_matrix3(eta_value).T / 2.0
 
 
 def game_state2(A, B, P, Q):
@@ -218,11 +219,7 @@ def action_basis2(eta_value=ETA2):
 
 
 def to_action_basis2(v, eta_value=ETA2):
-    m = basis_matrix2(eta_value)
-    v = np.asarray(v, dtype=complex)
-    if v.ndim == 1:
-        return np.conj(m).T @ v
-    return v @ np.conj(m)
+    return _in_action_basis(v, basis_matrix2(eta_value))
 
 
 class OutcomeDistribution:
@@ -268,15 +265,13 @@ def measure(v, labels):
     return OutcomeDistribution(labels, w / total)
 
 
-def oracle_distribution3(A, B, P, Q, E, F, eta_value=ETA3):
-    """State-vector route: closed-form game state measured in the action basis."""
-    return measure(to_action_basis3(game_state3(A, B, P, Q, E, F), eta_value),
-                   ACTION_LABELS3)
+def batch_of_one(*values):
+    """Scalars as length-1 arrays, the input shape of a batch kernel.
 
-
-def oracle_distribution2(A, B, P, Q, eta_value=ETA2):
-    return measure(to_action_basis2(game_state2(A, B, P, Q), eta_value),
-                   ACTION_LABELS2)
+    Scalar entry points pass these and take row 0 of the result, so they
+    agree with the kernel's other rows bit for bit.
+    """
+    return [np.reshape(v, 1) for v in values]
 
 
 def oracle_probs3_batch(A, B, P, Q, E, F, eta_value=ETA3):
@@ -288,6 +283,21 @@ def oracle_probs3_batch(A, B, P, Q, E, F, eta_value=ETA3):
 def oracle_probs2_batch(A, B, P, Q, eta_value=ETA2):
     w = np.abs(to_action_basis2(game_state2(A, B, P, Q), eta_value)) ** 2
     return w / np.sum(w, axis=-1, keepdims=True)
+
+
+def oracle_distribution3(A, B, P, Q, E, F, eta_value=ETA3):
+    """State-vector route: closed-form game state measured in the action basis.
+
+    A batch of one through oracle_probs3_batch.
+    """
+    probs = oracle_probs3_batch(*batch_of_one(A, B, P, Q, E, F), eta_value)
+    return OutcomeDistribution(ACTION_LABELS3, probs[0])
+
+
+def oracle_distribution2(A, B, P, Q, eta_value=ETA2):
+    """Two-player state-vector route; a batch of one through oracle_probs2_batch."""
+    probs = oracle_probs2_batch(*batch_of_one(A, B, P, Q), eta_value)
+    return OutcomeDistribution(ACTION_LABELS2, probs[0])
 
 
 def hadamard():

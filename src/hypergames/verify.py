@@ -7,6 +7,8 @@ types and no wall-clock data, so a fixed seed reproduces them byte for
 byte.
 """
 
+import itertools
+
 import numpy as np
 
 from .coordgame import (
@@ -25,12 +27,13 @@ from .parrondo import (
     Multiplexer3,
     capital_game_stationary,
     fna_p_win,
-    hd_p_gain,
     hd_stationary,
     mux_from_coins,
     parrondo_effect_check,
     proper_initial_state,
+    proper_quantized_gains,
     quantized_p_gain,
+    second_quantization_mux,
     superpose_mux,
 )
 from .qstate import SU2Gate, oracle_distribution3, oracle_probs2_batch, oracle_probs3_batch
@@ -94,21 +97,15 @@ def verify_corollary(samples=None, seed=0, tol=1e-12):
     cases = 0
     worst_onehot = 0.0
     worst_oracle = 0.0
-    for i in PLAYER_BASIS[1]:
-        s = Octonion.basis(i)
-        for j in PLAYER_BASIS[2]:
-            t = Octonion.basis(j)
-            for k in PLAYER_BASIS[3]:
-                u = Octonion.basis(k)
-                dist = corollary_distribution(s, t, u)
-                top = np.sort(dist.probs)
-                worst_onehot = max(worst_onehot, float(top[:-1].sum()), abs(float(top[-1]) - 1.0))
-                g1 = su2_of_basis(s, 1)
-                g2 = su2_of_basis(t, 2)
-                g3 = su2_of_basis(u, 3)
-                oracle = oracle_distribution3(g1.x, g1.y, g2.x, g2.y, g3.x, g3.y)
-                worst_oracle = max(worst_oracle, dist.max_deviation(oracle))
-                cases += 1
+    for triple in itertools.product(*(PLAYER_BASIS[p] for p in (1, 2, 3))):
+        elements = [Octonion.basis(i) for i in triple]
+        dist = corollary_distribution(*elements)
+        top = np.sort(dist.probs)
+        worst_onehot = max(worst_onehot, float(top[:-1].sum()), abs(float(top[-1]) - 1.0))
+        gates = [su2_of_basis(o, p) for p, o in enumerate(elements, start=1)]
+        oracle = oracle_distribution3(*(z for g in gates for z in (g.x, g.y)))
+        worst_oracle = max(worst_oracle, dist.max_deviation(oracle))
+        cases += 1
     checks = [
         _check("basis triples produce one-hot distributions", cases, tol, worst_onehot),
         _check("basis reduction vs state vector", cases, tol, worst_oracle),
@@ -153,11 +150,8 @@ def verify_parrondo(samples=None, seed=0, tol=1e-12):
     dev_unitary = 0.0
     for _ in range(samples):
         coins = HDGameParams(*rng.uniform(0.02, 0.98, size=4))
-        init = proper_initial_state(hd_stationary(coins))
-        classical = hd_p_gain(coins)
-        for kind in (TYPE1, TYPE2):
-            quantum = quantized_p_gain(mux_from_coins(coins, CoinEmbedding(kind)), init, 0)
-            dev_proper = max(dev_proper, abs(quantum - classical))
+        classical, quantum = proper_quantized_gains(coins)
+        dev_proper = max(dev_proper, *(abs(g - classical) for g in quantum.values()))
 
         r = rng.uniform()
         pa = HDGameParams(*rng.uniform(0.02, 0.98, size=4))
@@ -173,7 +167,7 @@ def verify_parrondo(samples=None, seed=0, tol=1e-12):
         )
         u = sup.matrix
         dev_unitary = max(dev_unitary, np.max(np.abs(u.conj().T @ u - np.eye(8))))
-        second = mux_from_coins(mixed, CoinEmbedding(TYPE1))
+        second = second_quantization_mux(r, pa, pb)
         dev_sequence = max(
             dev_sequence,
             abs(quantized_p_gain(sup, init, 0) - target),

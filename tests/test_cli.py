@@ -329,3 +329,21 @@ class TestParrondoCommand:
             capsys, "parrondo", "--game", "capital", "--p1", "0.5", "--p2", "1.5"
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distribution", "nan,0,0,0", IDENTITY, IDENTITY],
+        ["verify", "--samples", "0"],
+        ["verify", "--samples", "-3"],
+        ["equilibrium", "poker_printed", "--samples", "0"],
+        ["distribution", IDENTITY, IDENTITY, IDENTITY, "--tol", "nan"],
+        ["parrondo", "--game", "fna", "--thetas", "nan,0,0,0"],
+    ],
+)
+def test_non_finite_and_non_positive_inputs_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err and all(line.startswith("error:") for line in err.splitlines())

@@ -165,6 +165,27 @@ class TestClosedFormDistribution:
         assert closed.max_deviation(oracle) < 1e-10
 
 
+class TestScalarEntryPointsAreBatchRows:
+    """Each scalar entry point is a batch of one through its batch kernel."""
+
+    def test_scalar_results_equal_batch_rows_exactly(self):
+        rng = np.random.default_rng(41)
+        a, b = unit_pairs(rng, 64)
+        p, q = unit_pairs(rng, 64)
+        e, f = unit_pairs(rng, 64)
+        closed3 = theorem1_probs_batch(a, b, p, q, e, f)
+        closed2 = landsburg_probs_batch(a, b, p, q)
+        oracle3 = oracle_probs3_batch(a, b, p, q, e, f)
+        oracle2 = oracle_probs2_batch(a, b, p, q)
+        for k in range(64):
+            three = (a[k], b[k], p[k], q[k], e[k], f[k])
+            fams = family_triple(*three)
+            assert np.array_equal(theorem1_distribution(*fams).probs, closed3[k])
+            assert np.array_equal(landsburg_probs(*three[:4]).probs, closed2[k])
+            assert np.array_equal(oracle_distribution3(*three).probs, oracle3[k])
+            assert np.array_equal(oracle_distribution2(*three[:4]).probs, oracle2[k])
+
+
 class TestBasisStrategyReduction:
     def test_all_identity(self):
         one = Octonion.basis(0)
