@@ -73,8 +73,8 @@ class _Parser(argparse.ArgumentParser):
 def parse_strategy(text):
     """Parse 'reA,imA,reB,imB' into a unit (A, B) pair.
 
-    Norms within NORM_WARN of 1 pass silently; up to NORM_ERROR they are
-    normalized with a warning; beyond that the input is rejected.
+    Every accepted pair is divided by its norm.  Norms beyond NORM_WARN of 1
+    also raise a warning, and beyond NORM_ERROR the input is rejected.
     """
     vals = parse_float_list(text, 4, "strategy reA,imA,reB,imB")
     a = complex(vals[0], vals[1])
@@ -85,9 +85,7 @@ def parse_strategy(text):
         raise InputError("strategy %r is not unit norm (norm %.6g)" % (text, norm))
     if abs(norm - 1.0) > NORM_WARN:
         warning = "strategy %r normalized from norm %.12g" % (text, norm)
-        a /= norm
-        b /= norm
-    return a, b, warning
+    return a / norm, b / norm, warning
 
 
 def parse_float_list(text, count, flag):

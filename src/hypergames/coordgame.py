@@ -15,7 +15,15 @@ tables record that correspondence.
 
 import numpy as np
 
-from .hypercomplex import SUBALGEBRA_UNITS, Octonion, complex_pair_mul, oct_mul
+from .hypercomplex import (
+    SUBALGEBRA_UNITS,
+    Octonion,
+    complex_pair_mul,
+    coordinate_first,
+    gather_mul,
+    gather_table,
+    oct_mul,
+)
 from .qstate import (
     ACTION_LABELS2,
     ACTION_LABELS3,
@@ -25,6 +33,7 @@ from .qstate import (
     OutcomeDistribution,
     SU2Gate,
     batch_of_one,
+    check_unit_pairs,
 )
 
 # Octonion basis index -> outcome label.  Index 0 is the real unit.
@@ -33,11 +42,44 @@ INDEX_OF_OUTCOME = {label: k for k, label in enumerate(OUTCOME_OF_INDEX)}
 # Basis index of each ACTION_LABELS3 entry: indexing an index-ordered
 # trailing axis with it puts the columns in label order.
 LABEL_ORDER = np.array([INDEX_OF_OUTCOME[label] for label in ACTION_LABELS3])
-# Label-order columns that read off the g products; the rest read off h.
-_FROM_G = np.isin(LABEL_ORDER, (0, 1, 3, 7))
 
 # Basis indices that may appear as a pure basis strategy, per player.
 PLAYER_BASIS = {p: (0,) + SUBALGEBRA_UNITS[p] for p in (1, 2, 3)}
+
+# Outcome indices read off the g products and off the h products.
+_G_OUTPUTS = (0, 1, 3, 7)
+_H_OUTPUTS = (2, 4, 5, 6)
+# Row of the stacked (g, h) outputs that feeds each ACTION_LABELS3 column.
+_COLUMNS = [(_G_OUTPUTS + _H_OUTPUTS).index(k) for k in LABEL_ORDER]
+# Player 1's s- = (-Re A, Im A) lies on {0, 1} and s+ = its B part on
+# {2, 4}.  Times player 2's subalgebra they land on these disjoint halves,
+# so one product s t holds both s- t and s+ t.
+_HALVES = ((0, 1, 5, 6), (2, 3, 4, 7))
+
+
+def _sign_flipped(table, left=(), right=()):
+    """The table with the sign of each term on a listed index flipped, as if
+    those coordinates of the left or right factor were negated."""
+    i, j, sign = table
+    return i, j, np.where(np.isin(i, left) != np.isin(j, right), -sign, sign)
+
+
+def _stacked_halves(outputs):
+    """Table of (s t) u restricted to each half of s t, the halves on a new
+    trailing axis of the index arrays."""
+    halves = [gather_table(half, PLAYER_BASIS[3], outputs) for half in _HALVES]
+    return tuple(np.stack(parts, axis=-1) for parts in zip(*halves))
+
+
+# The two routes' tables.  The sign variants are folded into the signs:
+# s- negates s's real part, t10 negates t's real part and u01 negates u's
+# coordinate 1.
+_FIRST = gather_table(PLAYER_BASIS[1], PLAYER_BASIS[2])
+_G_TABLES = (
+    _sign_flipped(_FIRST, left=(0,), right=(0,)),
+    _sign_flipped(_stacked_halves(_G_OUTPUTS), right=(1,)),
+)
+_H_TABLES = (_sign_flipped(_FIRST, left=(0,)), _stacked_halves(_H_OUTPUTS))
 
 
 class OctStrategyFamily:
@@ -65,26 +107,28 @@ class OctStrategyFamily:
 
 
 def _embed(player, A, B):
-    """Embedded coefficients, shape (..., 8), of stacked strategy pairs."""
+    """Embedded coefficients, shape (..., 8), of stacked strategy pairs.
+
+    Stored coordinate-first, so each coordinate is one contiguous array.
+    """
     if player not in SUBALGEBRA_UNITS:
         raise ValueError("player must be 1, 2, or 3, got %r" % (player,))
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
-    if not np.allclose(np.abs(A) ** 2 + np.abs(B) ** 2, 1.0, atol=1e-9):
-        raise ValueError("strategy pair must satisfy |A|^2 + |B|^2 = 1")
+    check_unit_pairs((A, B))
     _, mid, high = SUBALGEBRA_UNITS[player]
-    c = np.zeros(np.broadcast(A, B).shape + (8,))
-    c[..., 0] = A.real
-    c[..., 1] = A.imag
-    c[..., mid] = SQRT3 / 2.0 * B.real - 0.5 * B.imag
-    c[..., high] = 0.5 * B.real + SQRT3 / 2.0 * B.imag
-    return c
+    c = np.zeros((8,) + np.broadcast(A, B).shape)
+    c[0] = A.real
+    c[1] = A.imag
+    c[mid] = SQRT3 / 2.0 * B.real - 0.5 * B.imag
+    c[high] = 0.5 * B.real + SQRT3 / 2.0 * B.imag
+    return np.moveaxis(c, 0, -1)
 
 
 def _negated(c, k):
-    """Sign variant: a copy of the coefficients with coordinate k negated."""
+    """Sign variant: a copy of coordinate-first coefficients, row k negated."""
     out = c.copy()
-    out[..., k] *= -1.0
+    out[k] = -out[k]
     return out
 
 
@@ -109,24 +153,19 @@ def _theorem1_kernel(s, t, u):
     s, t, u are the three players' embedded coefficients, broadcasting.
     Half of the outcomes read off g = (s' t10) u01, the other half off
     h = (s' t00) u00, where s' runs over the half sum and half difference of
-    player 1's variants o10 and o01.  By bilinearity those are player 1's
-    B part and (-Re A, Im A), so each of g+-, h+- is one triple product and
-    each probability is the sum of two squared projections.
+    player 1's variants o10 and o01.  By bilinearity those are s+, player
+    1's B part, and s- = (-Re A, Im A), and each probability is the sum of
+    the squared projections of the s+ and s- products.  Every product runs
+    on the players' four-coordinate supports and forms only the outputs
+    read; s+ and s- share one first product, and the second product puts
+    their halves on one axis.
     """
-    s_plus = s.copy()
-    s_plus[..., :2] = 0.0
-    s_minus = np.zeros_like(s)
-    s_minus[..., 0] = -s[..., 0]
-    s_minus[..., 1] = s[..., 1]
-    t10 = _negated(t, 0)
-    u01 = _negated(u, 1)
-    g_plus = oct_mul(oct_mul(s_plus, t10), u01)
-    g_minus = oct_mul(oct_mul(s_minus, t10), u01)
-    h_plus = oct_mul(oct_mul(s_plus, t), u)
-    h_minus = oct_mul(oct_mul(s_minus, t), u)
-    g = g_plus**2 + g_minus**2
-    h = h_plus**2 + h_minus**2
-    return np.where(_FROM_G, g[..., LABEL_ORDER], h[..., LABEL_ORDER])
+    s, t, u = coordinate_first(s, t, u)
+    routes = []
+    for first, second in (_G_TABLES, _H_TABLES):
+        halves = gather_mul(gather_mul(s, t, first), u, second)
+        routes.append(halves[:, 0] ** 2 + halves[:, 1] ** 2)
+    return np.moveaxis(np.concatenate(routes)[_COLUMNS], 0, -1)
 
 
 def theorem1_distribution(fam1, fam2, fam3):
@@ -243,8 +282,6 @@ def landsburg_probs(A, B, P, Q):
 
     A batch of one through landsburg_probs_batch, for unit pairs only.
     """
-    for x, y in ((A, B), (P, Q)):
-        if abs(abs(complex(x)) ** 2 + abs(complex(y)) ** 2 - 1.0) > 1e-9:
-            raise ValueError("strategy pair must satisfy |A|^2 + |B|^2 = 1")
+    check_unit_pairs((A, B), (P, Q))
     probs = landsburg_probs_batch(*batch_of_one(A, B, P, Q))
     return OutcomeDistribution(ACTION_LABELS2, probs[0])

@@ -9,6 +9,14 @@ i_a i_b = i_c cyclically and doubling all indices mod 7 maps lines to lines.
 Everything is vectorized: the binary operations accept stacked coefficient
 arrays of shape (..., 8) and broadcast, which keeps large Monte-Carlo sweeps
 out of Python loops.
+
+Products are formed from signed-gather tables derived at import from the
+structure tensor OCT_TENSOR, the one statement of the multiplication rule.
+Of its 512 entries only 64 are non-zero, so a table lists, for each output
+coordinate, just its (left index, right index, sign) terms; restricting the
+left and right supports and the outputs drops more.  oct_mul is the
+full-support case, and the closed form in coordgame uses restricted tables
+on each player's four-coordinate subalgebra.
 """
 
 import numpy as np
@@ -46,6 +54,67 @@ def _structure_tensor():
 
 
 OCT_TENSOR = _structure_tensor()
+BASIS = tuple(range(8))
+
+
+def gather_table(left=BASIS, right=BASIS, outputs=BASIS):
+    """Signed-gather table of the product restricted to the given supports.
+
+    Lists the terms a_i b_j of each coordinate k in outputs with i in left,
+    j in right and OCT_TENSOR[i, j, k] non-zero, ordered by the position of
+    i in left, then of j in right.
+    Returns (left index, right index, sign), each of shape (terms,
+    len(outputs)): term-first, then one column per output coordinate.
+    """
+    sub = OCT_TENSOR[np.ix_(left, right, outputs)].transpose(2, 0, 1)
+    k, i, j = np.nonzero(sub)
+    count = np.bincount(k, minlength=len(outputs))
+    if np.any(count != count[0]):
+        raise ValueError("output coordinates have unequal term counts")
+    shape = (len(outputs), count[0])
+    return (
+        np.asarray(left)[i].reshape(shape).T,
+        np.asarray(right)[j].reshape(shape).T,
+        sub[k, i, j].reshape(shape).T,
+    )
+
+
+_FULL_TABLE = gather_table()
+
+
+def coordinate_first(*coeffs):
+    """Views of (..., 8) coefficient arrays with the coordinate axis first.
+
+    Leading axes of size 1 are prepended so all views have the same number
+    of axes and broadcast row by row.
+    """
+    ndim = max(c.ndim for c in coeffs)
+    return [
+        np.moveaxis(c.reshape((1,) * (ndim - c.ndim) + c.shape), -1, 0)
+        for c in coeffs
+    ]
+
+
+def gather_mul(a, b, table):
+    """Product of coordinate-first operands over a signed-gather table.
+
+    a[i] and b[j] are the coefficient arrays of basis elements i and j, of
+    equal number of axes (see coordinate_first); rows outside the table's
+    supports are never read.  A table whose index arrays have shape
+    (terms,) + lead gives a result of shape lead + the broadcast batch
+    shape.  Terms are added one at a time, so every element is rounded the
+    same way whatever the batch shape.
+    """
+    trailing = (1,) * (a.ndim - 1)
+    out = None
+    for i, j, sign in zip(*table):
+        term = np.multiply(a[i], b[j])
+        term *= sign.reshape(sign.shape + trailing)
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out
 
 
 def _coeffs(a):
@@ -60,10 +129,10 @@ def oct_mul(a, b):
 
     Accepts Octonion instances or coefficient arrays shaped (..., 8) and
     broadcasts. Returns an Octonion when both inputs are Octonions, else a
-    coefficient array.
+    coefficient array.  The full-support case of gather_mul.
     """
-    ca, cb = _coeffs(a), _coeffs(b)
-    out = np.einsum("ijk,...i,...j->...k", OCT_TENSOR, ca, cb)
+    ca, cb = coordinate_first(_coeffs(a), _coeffs(b))
+    out = np.moveaxis(gather_mul(ca, cb, _FULL_TABLE), 0, -1)
     if isinstance(a, Octonion) and isinstance(b, Octonion):
         return Octonion(out)
     return out

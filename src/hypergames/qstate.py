@@ -100,11 +100,12 @@ def local_action(gates, state):
     return op @ state
 
 
-def _check_unit_pairs(*pairs, atol=1e-9):
+def check_unit_pairs(*pairs, atol=1e-9):
+    """Require |A|^2 + |B|^2 = 1 within an absolute atol for every pair."""
     for a, b in pairs:
         norms = np.abs(np.asarray(a)) ** 2 + np.abs(np.asarray(b)) ** 2
         if np.max(np.abs(norms - 1.0)) > atol:
-            raise ValueError("strategy pair is not unit norm")
+            raise ValueError("strategy pair must satisfy |A|^2 + |B|^2 = 1")
 
 
 def game_state3(A, B, P, Q, E, F):
@@ -115,7 +116,7 @@ def game_state3(A, B, P, Q, E, F):
     computational order. Identical to local_action of the three strategy
     gates on ghz3(), which the tests verify independently.
     """
-    _check_unit_pairs((A, B), (P, Q), (E, F))
+    check_unit_pairs((A, B), (P, Q), (E, F))
     A, B, P, Q, E, F = np.broadcast_arrays(
         *(np.asarray(v, dtype=complex) for v in (A, B, P, Q, E, F))
     )
@@ -185,7 +186,7 @@ def from_action_basis3(w, eta_value=ETA3):
 
 def game_state2(A, B, P, Q):
     """Closed-form two-player game state, normalized, order (00, 01, 10, 11)."""
-    _check_unit_pairs((A, B), (P, Q))
+    check_unit_pairs((A, B), (P, Q))
     A, B, P, Q = np.broadcast_arrays(
         *(np.asarray(v, dtype=complex) for v in (A, B, P, Q))
     )

@@ -69,6 +69,13 @@ class TestDistributionCommand:
         assert code == 0
         assert "warning" in out
 
+    def test_drift_below_warning_is_still_normalized(self, capsys):
+        code, out, err = run_cli(
+            capsys, "distribution", "--", "1.0000000004,0,0,0", IDENTITY, IDENTITY
+        )
+        assert code == 0 and err == ""
+        assert "NNN  1\n" in out and "warning" not in out
+
     def test_two_player_routes_agree(self, capsys):
         code, out, _ = run_cli(
             capsys, "distribution", "0.6,0,0,0.8", "0,0.8,0.6,0", "--format", "json"

@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 
 from hypergames.coordgame import (
     INDEX_OF_OUTCOME,
+    LABEL_ORDER,
     OUTCOME_OF_INDEX,
+    PLAYER_BASIS,
+    _embed,
+    _theorem1_kernel,
     corollary_distribution,
     embed3,
     landsburg_probs,
@@ -15,7 +19,7 @@ from hypergames.coordgame import (
     theorem1_distribution,
     theorem1_probs_batch,
 )
-from hypergames.hypercomplex import SUBALGEBRA_UNITS, Octonion
+from hypergames.hypercomplex import OCT_TENSOR, SUBALGEBRA_UNITS, Octonion
 from hypergames.qstate import (
     ACTION_LABELS2,
     ACTION_LABELS3,
@@ -184,6 +188,72 @@ class TestScalarEntryPointsAreBatchRows:
             assert np.array_equal(landsburg_probs(*three[:4]).probs, closed2[k])
             assert np.array_equal(oracle_distribution3(*three).probs, oracle3[k])
             assert np.array_equal(oracle_distribution2(*three[:4]).probs, oracle2[k])
+
+
+def dense_theorem1(s, t, u):
+    """The closed form as eight dense products over the whole OCT_TENSOR."""
+
+    def mul(a, b):
+        return np.einsum("ijk,...i,...j->...k", OCT_TENSOR, a, b)
+
+    s_plus = s.copy()
+    s_plus[..., :2] = 0.0
+    s_minus = np.zeros_like(s)
+    s_minus[..., 0] = -s[..., 0]
+    s_minus[..., 1] = s[..., 1]
+    t10 = t.copy()
+    t10[..., 0] *= -1.0
+    u01 = u.copy()
+    u01[..., 1] *= -1.0
+    g = mul(mul(s_plus, t10), u01) ** 2 + mul(mul(s_minus, t10), u01) ** 2
+    h = mul(mul(s_plus, t), u) ** 2 + mul(mul(s_minus, t), u) ** 2
+    from_g = np.isin(LABEL_ORDER, (0, 1, 3, 7))
+    return np.where(from_g, g[..., LABEL_ORDER], h[..., LABEL_ORDER])
+
+
+class TestSparseKernel:
+    """The support-restricted kernel against the dense eight-product formula."""
+
+    def test_matches_dense_formula(self):
+        rng = np.random.default_rng(59)
+        a, b = unit_pairs(rng, 1000)
+        p, q = unit_pairs(rng, 1000)
+        e, f = unit_pairs(rng, 1000)
+        s, t, u = _embed(1, a, b), _embed(2, p, q), _embed(3, e, f)
+        npt.assert_allclose(
+            _theorem1_kernel(s, t, u), dense_theorem1(s, t, u), rtol=1e-15, atol=1e-15
+        )
+
+    def test_broadcast_against_basis_pairs_equals_row_by_row(self):
+        # The shape indifference_check uses: (n, 1) pairs of one player
+        # against the 16 basis pairs of the other two.
+        rng = np.random.default_rng(61)
+        a, b = unit_pairs(rng, 200)
+        two, three = (
+            [su2_of_basis(Octonion.basis(k), player) for k in PLAYER_BASIS[player]]
+            for player in (2, 3)
+        )
+        pairs = [(g2, g3) for g2 in two for g3 in three]
+        p = np.array([g2.x for g2, _ in pairs])
+        q = np.array([g2.y for g2, _ in pairs])
+        e = np.array([g3.x for _, g3 in pairs])
+        f = np.array([g3.y for _, g3 in pairs])
+        probs = theorem1_probs_batch(a[:, None], b[:, None], p, q, e, f)
+        assert probs.shape == (200, 16, 8)
+        for k in range(200):
+            row = theorem1_probs_batch(a[k], b[k], p, q, e, f)
+            assert np.array_equal(row, probs[k])
+        oracle = oracle_probs3_batch(a[:, None], b[:, None], p, q, e, f)
+        assert np.max(np.abs(probs - oracle)) < 1e-10
+
+    def test_norm_check_is_absolute(self):
+        # Within np.allclose's default rtol of 1e-5 but 5e-6 off unit norm.
+        drift = np.sqrt(1 + 5e-6)
+        with pytest.raises(ValueError, match=r"\|A\|\^2 \+ \|B\|\^2 = 1"):
+            theorem1_probs_batch(drift, 0, 1, 0, 1, 0)
+        with pytest.raises(ValueError):
+            embed3(2, 0, drift)
+        theorem1_probs_batch(np.sqrt(1 + 5e-10), 0, 1, 0, 1, 0)
 
 
 class TestBasisStrategyReduction:

@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 
 from hypergames.hypercomplex import (
     FANO_LINES,
+    OCT_TENSOR,
     SUBALGEBRA_UNITS,
     Octonion,
     Quaternion,
+    gather_mul,
+    gather_table,
     oct_conj,
     oct_mul,
     oct_norm,
@@ -177,6 +180,70 @@ class TestOctonionAlgebra:
                 b[keep] = rng.standard_normal(4)
                 prod = oct_mul(a, b)
                 npt.assert_array_equal(prod[drop], np.zeros(4))
+
+
+class TestGatherTables:
+    """oct_mul reads the multiplication rule off tables derived from OCT_TENSOR;
+    the dense einsum over the whole tensor is the reference."""
+
+    @staticmethod
+    def dense(a, b):
+        return np.einsum("ijk,...i,...j->...k", OCT_TENSOR, a, b)
+
+    def test_matches_dense_einsum_on_non_unit_stacks(self):
+        rng = np.random.default_rng(43)
+        a = 3.0 * rng.standard_normal((500, 8))
+        b = 0.2 * rng.standard_normal((500, 8))
+        npt.assert_allclose(oct_mul(a, b), self.dense(a, b), rtol=1e-15)
+
+    def test_matches_dense_einsum_when_broadcasting(self):
+        rng = np.random.default_rng(47)
+        for sa, sb in (((8,), (6, 8)), ((5, 1, 8), (4, 8)), ((2, 1, 3, 8), (7, 1, 8))):
+            a = rng.standard_normal(sa)
+            b = 5.0 * rng.standard_normal(sb)
+            product = oct_mul(a, b)
+            assert product.shape == self.dense(a, b).shape
+            npt.assert_allclose(product, self.dense(a, b), rtol=1e-15)
+
+    def test_octonion_instances_stay_octonions(self):
+        x = Octonion(np.arange(1.0, 9.0))
+        y = Octonion(np.arange(8.0, 0.0, -1.0))
+        product = oct_mul(x, y)
+        assert isinstance(product, Octonion)
+        npt.assert_allclose(product.c, self.dense(x.c, y.c), rtol=1e-15)
+
+    def test_restricted_table_lists_exactly_the_nonzero_terms(self):
+        left, right, outputs = (0, 1, 2, 4), (0, 1, 5, 6), (2, 4, 5, 6)
+        i, j, sign = gather_table(left, right, outputs)
+        expected = {
+            (a, b, k, OCT_TENSOR[a, b, k])
+            for a in left
+            for b in right
+            for k in outputs
+            if OCT_TENSOR[a, b, k]
+        }
+        listed = {
+            (i[t, c], j[t, c], outputs[c], sign[t, c])
+            for t in range(i.shape[0])
+            for c in range(len(outputs))
+        }
+        assert listed == expected and len(expected) == i.size
+
+    def test_restricted_product_reads_only_its_supports(self):
+        rng = np.random.default_rng(53)
+        a, b = rng.standard_normal((2, 8, 10))
+        table = gather_table((0, 1, 2, 4), (0, 1, 5, 6), (3, 7))
+        junk_a, junk_b = a.copy(), b.copy()
+        junk_a[[3, 5, 6, 7]] = np.nan
+        junk_b[[2, 3, 4, 7]] = np.nan
+        npt.assert_array_equal(
+            gather_mul(junk_a, junk_b, table), gather_mul(a, b, table)
+        )
+        keep_a, keep_b = np.zeros_like(a), np.zeros_like(b)
+        keep_a[[0, 1, 2, 4]] = a[[0, 1, 2, 4]]
+        keep_b[[0, 1, 5, 6]] = b[[0, 1, 5, 6]]
+        full = self.dense(keep_a.T, keep_b.T)
+        npt.assert_allclose(gather_mul(a, b, table), full[:, [3, 7]].T, rtol=1e-15)
 
 
 class TestQuaternion:
