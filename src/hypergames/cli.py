@@ -23,34 +23,24 @@ from .equilibria import (
     BUILTIN_GAME_NAMES,
     builtin_game_file,
     classical_pure_scan,
-    expected_payoff_mixture,
     indifference_check,
     load_game_file,
-    special_distribution,
+    special_payoff_check,
 )
 from .parrondo import (
-    TYPE1,
-    TYPE2,
-    CoinEmbedding,
     HDGameParams,
-    Multiplexer3,
-    capital_game_stationary,
+    capital_chain,
     capital_p_gain,
-    capital_transition_matrix,
     classify_gain,
-    fna_p_win,
-    hd_p_gain,
+    fna_p_win_pair,
+    hd_chain,
     hd_params_reversed,
-    hd_stationary,
-    hd_transition_matrix,
-    mux_from_coins,
     parrondo_effect_check,
-    proper_initial_state,
     proper_quantized_gains,
-    quantized_p_gain,
-    superpose_mux,
+    sequence_quantized_gains,
 )
 from .qstate import SU2Gate, oracle_distribution2, oracle_distribution3
+from .verify import RECORD_KEYS, all_passed, check_record, records
 
 NORM_WARN = 1e-9
 NORM_ERROR = 1e-3
@@ -79,7 +69,7 @@ def parse_strategy(text):
     vals = parse_float_list(text, 4, "strategy reA,imA,reB,imB")
     a = complex(vals[0], vals[1])
     b = complex(vals[2], vals[3])
-    norm = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    norm = math.hypot(*vals)
     warning = None
     if abs(norm - 1.0) > NORM_ERROR:
         raise InputError("strategy %r is not unit norm (norm %.6g)" % (text, norm))
@@ -138,32 +128,12 @@ def resolve_game(source):
     if os.path.exists(source):
         try:
             return load_game_file(source), source
-        except (ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise InputError("bad game file %s: %s" % (source, exc))
     raise InputError(
         "game %r is neither a file nor a bundled table %s"
         % (source, list(BUILTIN_GAME_NAMES))
     )
-
-
-def _deviation_check(deviation, tol):
-    return {
-        "max_deviation": float(deviation),
-        "tolerance": float(tol),
-        "passed": bool(deviation < tol),
-    }
-
-
-def _fixed_point_check(matrix, stationary):
-    """How far one step of the chain moves its stationary state."""
-    return _deviation_check(np.max(np.abs(matrix @ stationary - stationary)), 1e-12)
-
-
-def _coerce_params(text, flag="--coins"):
-    vals = parse_float_list(text, 4, flag)
-    if not all(0.0 <= v <= 1.0 for v in vals):
-        raise InputError("%s values must lie in [0, 1]" % flag)
-    return HDGameParams(*vals)
 
 
 def cmd_distribution(args):
@@ -183,19 +153,16 @@ def cmd_distribution(args):
     if method == "quaternion" and players != 2:
         raise InputError("the quaternion route needs 2 players")
 
+    flat = [z for pair in pairs for z in pair]
+
     def closed_route():
         if players == 3:
-            fams = [embed3(k + 1, a, b) for k, (a, b) in enumerate(pairs)]
-            return theorem1_distribution(*fams)
-        (a1, b1), (a2, b2) = pairs
-        return landsburg_probs(a1, b1, a2, b2)
+            return theorem1_distribution(
+                *(embed3(k + 1, a, b) for k, (a, b) in enumerate(pairs))
+            )
+        return landsburg_probs(*flat)
 
-    def oracle_route():
-        flat = [z for pair in pairs for z in pair]
-        if players == 3:
-            return oracle_distribution3(*flat)
-        return oracle_distribution2(*flat)
-
+    oracle_route = oracle_distribution3 if players == 3 else oracle_distribution2
     report = {
         "command": "distribution",
         "players": players,
@@ -203,20 +170,14 @@ def cmd_distribution(args):
         "strategies": [[a.real, a.imag, b.real, b.imag] for a, b in pairs],
         "warnings": warnings,
     }
-    code = 0
-    if method in ("octonion", "quaternion"):
-        report["distribution"] = closed_route().as_dict()
-    elif method == "oracle":
-        report["distribution"] = oracle_route().as_dict()
-    else:
-        closed = closed_route()
-        oracle = oracle_route()
-        deviation = closed.max_deviation(oracle)
-        report["distribution"] = closed.as_dict()
+    closed = None if method == "oracle" else closed_route()
+    oracle = oracle_route(*flat) if method in ("oracle", "both") else None
+    report["distribution"] = (oracle if closed is None else closed).as_dict()
+    if method == "both":
         report["oracle_distribution"] = oracle.as_dict()
-        report["comparison"] = _deviation_check(deviation, args.tol)
-        if not report["comparison"]["passed"]:
-            code = 1
+        report["comparison"] = check_record(
+            "closed form vs state vector", 1, args.tol, closed.max_deviation(oracle)
+        )
 
     if args.game is not None:
         game_file, name = resolve_game(args.game)
@@ -225,13 +186,9 @@ def cmd_distribution(args):
                 "game %s is for %d players but %d strategies were given"
                 % (name, game_file.players, players)
             )
-        dist = report["distribution"]
         report["game"] = name
-        report["payoffs"] = [
-            sum(dist[label] * game_file.payoffs[label][k] for label in dist)
-            for k in range(players)
-        ]
-    return code, report
+        report["payoffs"] = game_file.expected_payoffs(report["distribution"])
+    return report
 
 
 def cmd_equilibrium(args):
@@ -246,41 +203,19 @@ def cmd_equilibrium(args):
             "zero-sum claim violated: "
             + ", ".join("%s sums to %g" % (lbl, s) for lbl, s in sorted(defects.items()))
         )
-
-    mixtures = [special_distribution(k) for k in (1, 2, 3)]
-    special = []
-    for k in (1, 2, 3):
-        value = expected_payoff_mixture(k, *mixtures, game=game)
-        average = float(game.payoffs_for(k).mean())
-        deviation = abs(value - average)
-        special.append(
-            {
-                "player": k,
-                "payoff": float(value),
-                "average_of_eight": average,
-                "deviation": float(deviation),
-                "tolerance": 1e-12,
-                "passed": bool(deviation < 1e-12),
-            }
-        )
-
     rng = np.random.default_rng(args.seed)
     indifference = [
         indifference_check(k, game, samples=args.samples, tol=args.tol, rng=rng)
         for k in (1, 2, 3)
     ]
-
     pure = classical_pure_scan(game)
-    if pure:
-        for label, payoffs in pure:
-            notes.append(
-                "classical pure equilibrium at %s paying (%g, %g, %g)"
-                % ((label,) + tuple(payoffs))
-            )
-    else:
+    for label, payoffs in pure:
+        notes.append(
+            "classical pure equilibrium at %s paying (%g, %g, %g)" % ((label,) + payoffs)
+        )
+    if not pure:
         notes.append("no classical pure equilibrium")
-
-    report = {
+    return {
         "command": "equilibrium",
         "game": name,
         "players": 3,
@@ -288,267 +223,197 @@ def cmd_equilibrium(args):
         "zero_sum_defects": {lbl: float(s) for lbl, s in defects.items()},
         "samples": int(args.samples),
         "seed": int(args.seed),
-        "special_payoffs": special,
+        "special_payoffs": [special_payoff_check(k, game) for k in (1, 2, 3)],
         "indifference": indifference,
         "classical_pure_equilibria": [
             {"profile": label, "payoffs": list(payoffs)} for label, payoffs in pure
         ],
         "notes": notes,
     }
-    checks = [row["passed"] for row in special] + [row["passed"] for row in indifference]
-    return (0 if all(checks) else 1), report
 
 
 def cmd_verify(args):
-    report = verify_suites.run_suite(args.suite, samples=args.samples, seed=args.seed)
-    return (0 if report["passed"] else 1), report
+    return verify_suites.run_suite(args.suite, samples=args.samples, seed=args.seed)
 
 
-def _gain_row(key, name, value, classical, tol=1e-12):
-    """One quantized gain checked against the classical gain it should equal."""
-    deviation = abs(value - classical)
-    return {
-        key: name,
-        "p_gain": float(value),
-        "deviation": float(deviation),
-        "tolerance": tol,
-        "passed": bool(deviation < tol),
-    }
+def _gain_checks(key, gains, classical):
+    """Each quantized gain checked against the classical gain it reproduces."""
+    return [
+        check_record(
+            "quantization reproduces the classical gain",
+            1,
+            1e-12,
+            abs(gain - classical),
+            **{key: name},
+            p_gain=gain,
+        )
+        for name, gain in gains.items()
+    ]
+
+
+def _residual_check(residual):
+    return check_record("stationary state is a fixed point of the chain", 1, 1e-12, residual)
 
 
 def cmd_parrondo(args):
     if args.game == "hd":
         if args.coins is None:
             raise InputError("--coins p1,p2,p3,p4 is required for the hd game")
-        coins = _coerce_params(args.coins)
-        try:
-            stationary = hd_stationary(coins)
-            classical, gains = proper_quantized_gains(coins)
-        except ValueError as exc:
-            raise InputError(str(exc))
-        quantum = [
-            _gain_row("embedding", kind, gain, classical) for kind, gain in gains.items()
-        ]
-        report = {
+        coins = HDGameParams(*parse_float_list(args.coins, 4, "--coins"))
+        stationary, residual = hd_chain(coins)
+        classical, gains = proper_quantized_gains(coins)
+        return {
             "command": "parrondo",
             "game": "hd",
             "coins": list(coins),
             "stationary": [float(x) for x in stationary],
-            "fixed_point_residual": _fixed_point_check(
-                hd_transition_matrix(coins), stationary
-            ),
+            "fixed_point_residual": _residual_check(residual),
             "classical_p_gain": float(classical),
-            "quantum_p_gain": quantum,
+            "quantum_p_gain": _gain_checks("embedding", gains, classical),
             "classification": classify_gain(classical),
         }
-        ok = report["fixed_point_residual"]["passed"] and all(
-            row["passed"] for row in quantum
-        )
-        return (0 if ok else 1), report
 
     if args.game == "capital":
         for v, flag in ((args.p1, "--p1"), (args.p2, "--p2")):
             if v is None:
                 raise InputError("%s is required for the capital game" % flag)
-            if not 0.0 <= v <= 1.0:
-                raise InputError("%s must lie in [0, 1]" % flag)
-        try:
-            stationary = capital_game_stationary(args.p1, args.p2)
-            gain = capital_p_gain(args.p1, args.p2)
-        except ValueError as exc:
-            raise InputError(str(exc))
-        report = {
+        stationary, residual = capital_chain(args.p1, args.p2)
+        gain = capital_p_gain(args.p1, args.p2)
+        return {
             "command": "parrondo",
             "game": "capital",
             "coins": [float(args.p1), float(args.p2)],
             "stationary": [float(x) for x in stationary],
-            "fixed_point_residual": _fixed_point_check(
-                capital_transition_matrix(args.p1, args.p2), stationary
-            ),
+            "fixed_point_residual": _residual_check(residual),
             "classical_p_gain": float(gain),
             "classification": classify_gain(gain),
         }
-        return (0 if report["fixed_point_residual"]["passed"] else 1), report
 
     if args.game == "sequence":
-        try:
-            effect = parrondo_effect_check(args.epsilon)
-        except ValueError as exc:
-            raise InputError(str(exc))
-        single = effect["single_coin_gain"]
-        mixture_gain_first = hd_params_reversed(effect["mixture_coins_loss_first"])
-        classical = hd_p_gain(mixture_gain_first)
-        tau = hd_stationary(mixture_gain_first)
-        init = proper_initial_state(tau)
-        superposed = superpose_mux(
+        effect = parrondo_effect_check(args.epsilon)
+        classical, gains = sequence_quantized_gains(
             0.5,
-            mux_from_coins((single,) * 4, CoinEmbedding(TYPE2)),
-            mux_from_coins(
-                hd_params_reversed(effect["history_coins_loss_first"]),
-                CoinEmbedding(TYPE1),
-            ),
+            (effect["single_coin_gain"],) * 4,
+            hd_params_reversed(effect["history_coins_loss_first"]),
         )
-        second = mux_from_coins(mixture_gain_first, CoinEmbedding(TYPE1))
-        quantum = [
-            _gain_row("construction", label, quantized_p_gain(mux, init, 0), classical)
-            for label, mux in (("superposed", superposed), ("second_quantization", second))
-        ]
-        report = {
+        return {
             "command": "parrondo",
             "game": "sequence",
             "effect_check": effect,
             "mixture_p_gain": float(classical),
             "mixture_classification": classify_gain(classical),
-            "quantum_p_gain": quantum,
+            "quantum_p_gain": _gain_checks("construction", gains, classical),
         }
-        return (0 if all(row["passed"] for row in quantum) else 1), report
 
     # fna
     thetas = parse_float_list(args.thetas, 4, "--thetas")
     phis = parse_float_list(args.phis, 4, "--phis")
     etas = parse_float_list(args.etas, 4, "--etas")
     gates = [
-        SU2Gate(
-            np.exp(1j * phis[j]) * np.cos(thetas[j] / 2.0),
-            np.exp(1j * etas[j]) * np.sin(thetas[j] / 2.0),
-        )
-        for j in range(4)
+        SU2Gate(np.exp(1j * phi) * np.cos(theta / 2.0), np.exp(1j * eta) * np.sin(theta / 2.0))
+        for theta, phi, eta in zip(thetas, phis, etas)
     ]
     equal = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    p_win = fna_p_win(gates, equal, equal, equal)
-    state = np.kron(np.kron(equal, equal), equal)
-    direct = quantized_p_gain(Multiplexer3(gates), state, 1)
-    report = {
+    p_win, simulated = fna_p_win_pair(gates, equal, equal, equal)
+    return {
         "command": "parrondo",
         "game": "fna",
         "thetas": thetas,
         "phis": phis,
         "etas": etas,
         "p_win": float(p_win),
-        "simulated_p_win": float(direct),
-        "comparison": _deviation_check(abs(p_win - direct), 1e-12),
+        "simulated_p_win": float(simulated),
+        "comparison": check_record(
+            "product-state closed form vs simulation", 1, 1e-12, abs(p_win - simulated)
+        ),
         "classification": classify_gain(p_win),
     }
-    return (0 if report["comparison"]["passed"] else 1), report
 
 
 def _fmt(x):
     return "%.12g" % x
 
 
-def _render_check(prefix, entry):
-    return "%s%s (tolerance %s): %s" % (
-        prefix,
-        _fmt(entry["max_deviation"]),
-        _fmt(entry["tolerance"]),
-        "PASS" if entry["passed"] else "FAIL",
+def _verdict(passed):
+    return "PASS" if passed else "FAIL"
+
+
+def check_line(record):
+    """The one text form of a check record, its named values in parentheses."""
+    named = ", ".join(
+        "%s %s" % (key, _fmt(value) if isinstance(value, float) else value)
+        for key, value in record.items()
+        if key not in RECORD_KEYS
+    )
+    return "%s%s: max deviation %s over %d samples (tolerance %s): %s" % (
+        record["check"],
+        " (%s)" % named if named else "",
+        _fmt(record["max_deviation"]),
+        record["samples"],
+        _fmt(record["tolerance"]),
+        _verdict(record["passed"]),
     )
 
 
-def _render_gain(name, row):
-    return "quantum p_gain (%s): %s (deviation %s, tolerance %s): %s" % (
-        name,
-        _fmt(row["p_gain"]),
-        _fmt(row["deviation"]),
-        _fmt(row["tolerance"]),
-        "PASS" if row["passed"] else "FAIL",
-    )
-
-
-def render_text(report):
-    lines = []
-    command = report["command"] if "command" in report else "verify"
+def _data_lines(report):
+    """A report's lines other than its check records."""
+    command = report["command"]
     if command == "distribution":
-        for warning in report["warnings"]:
-            lines.append("warning: %s" % warning)
+        lines = ["warning: %s" % warning for warning in report["warnings"]]
         lines.append(
             "outcome distribution (%d players, %s route):"
             % (report["players"], report["method"])
         )
-        for label, p in report["distribution"].items():
-            lines.append("  %s  %s" % (label, _fmt(p)))
-        if "comparison" in report:
-            lines.append(
-                _render_check("max deviation vs oracle: ", report["comparison"])
-            )
+        lines += ["  %s  %s" % (label, _fmt(p)) for label, p in report["distribution"].items()]
         if "payoffs" in report:
             lines.append(
                 "expected payoffs (%s): %s"
                 % (report["game"], ", ".join(_fmt(v) for v in report["payoffs"]))
             )
-    elif command == "equilibrium":
-        lines.append("game: %s (3 players)" % report["game"])
-        for note in report["notes"]:
-            lines.append("note: %s" % note)
-        lines.append("quarter-weight mixed strategy payoffs:")
-        for row in report["special_payoffs"]:
-            lines.append(
-                "  player %d: %s (average of eight %s, deviation %s, tolerance %s): %s"
-                % (
-                    row["player"],
-                    _fmt(row["payoff"]),
-                    _fmt(row["average_of_eight"]),
-                    _fmt(row["deviation"]),
-                    _fmt(row["tolerance"]),
-                    "PASS" if row["passed"] else "FAIL",
-                )
-            )
-        for row in report["indifference"]:
-            lines.append(
-                "indifference player %d: max deviation %s over %d samples (tolerance %s): %s"
-                % (
-                    row["player"],
-                    _fmt(row["max_deviation"]),
-                    row["samples"],
-                    _fmt(row["tolerance"]),
-                    "PASS" if row["passed"] else "FAIL",
-                )
-            )
-    elif command == "verify" or "suites" in report or "checks" in report:
-        suites = report.get("suites", [report]) if "suite" in report else [report]
-        for suite in suites:
-            for check in suite["checks"]:
-                lines.append(
-                    "%s: %s: max deviation %s over %d samples (tolerance %s): %s"
-                    % (
-                        suite["suite"],
-                        check["check"],
-                        _fmt(check["max_deviation"]),
-                        check["samples"],
-                        _fmt(check["tolerance"]),
-                        "PASS" if check["passed"] else "FAIL",
-                    )
-                )
-        lines.append("result: %s" % ("PASS" if report["passed"] else "FAIL"))
-    elif command == "parrondo":
-        game = report["game"]
-        if game in ("hd", "capital"):
-            lines.append("%s game coins: %s" % (game, ", ".join(_fmt(c) for c in report["coins"])))
-            lines.append(
-                "stationary state: (%s)" % ", ".join(_fmt(x) for x in report["stationary"])
-            )
-            lines.append(
-                _render_check("fixed-point residual: ", report["fixed_point_residual"])
-            )
-            lines.append("classical p_gain: %s" % _fmt(report["classical_p_gain"]))
-            for row in report.get("quantum_p_gain", []):
-                lines.append(_render_gain("%s embedding" % row["embedding"], row))
-            lines.append("classification: %s" % report["classification"])
-        elif game == "sequence":
-            effect = report["effect_check"]
-            lines.append("epsilon: %s" % _fmt(effect["epsilon"]))
-            lines.append("game A p_gain: %s" % _fmt(effect["p_gain_a"]))
-            lines.append("game B p_gain: %s" % _fmt(effect["p_gain_b"]))
-            lines.append("mixture p_gain: %s" % _fmt(effect["p_gain_mixture"]))
-            for row in report["quantum_p_gain"]:
-                lines.append(_render_gain(row["construction"], row))
-            lines.append("Parrondo effect: %s" % ("YES" if effect["effect"] else "NO"))
-        else:
-            lines.append("product-state quantization p_win: %s" % _fmt(report["p_win"]))
-            lines.append("direct simulation p_win: %s" % _fmt(report["simulated_p_win"]))
-            lines.append(_render_check("closed form vs simulation: ", report["comparison"]))
-            lines.append("classification: %s" % report["classification"])
-    return lines
+        return lines
+    if command == "equilibrium":
+        return ["game: %s (3 players)" % report["game"]] + [
+            "note: %s" % note for note in report["notes"]
+        ]
+    game = report["game"]
+    if game in ("hd", "capital"):
+        return [
+            "%s game coins: %s" % (game, ", ".join(_fmt(c) for c in report["coins"])),
+            "stationary state: (%s)" % ", ".join(_fmt(x) for x in report["stationary"]),
+            "classical p_gain: %s" % _fmt(report["classical_p_gain"]),
+            "classification: %s" % report["classification"],
+        ]
+    if game == "sequence":
+        effect = report["effect_check"]
+        return [
+            "epsilon: %s" % _fmt(effect["epsilon"]),
+            "game A p_gain: %s" % _fmt(effect["p_gain_a"]),
+            "game B p_gain: %s" % _fmt(effect["p_gain_b"]),
+            "mixture p_gain: %s" % _fmt(effect["p_gain_mixture"]),
+            "Parrondo effect: %s" % ("YES" if effect["effect"] else "NO"),
+        ]
+    return [
+        "product-state quantization p_win: %s" % _fmt(report["p_win"]),
+        "direct simulation p_win: %s" % _fmt(report["simulated_p_win"]),
+        "classification: %s" % report["classification"],
+    ]
+
+
+def render_text(report):
+    """Text lines of a report: its data lines, then one line per check.
+
+    verify reports have no data lines; each check line carries its suite's
+    name, and a last line gives the overall result.
+    """
+    if "command" not in report:
+        suites = report.get("suites", [report])
+        lines = [
+            "%s: %s" % (suite["suite"], check_line(check))
+            for suite in suites
+            for check in suite["checks"]
+        ]
+        return lines + ["result: %s" % _verdict(report["passed"])]
+    return _data_lines(report) + [check_line(record) for record in records(report)]
 
 
 def build_parser():
@@ -637,17 +502,19 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; exit 0 when every check record passed, 1 when one
+    failed, 2 on bad input, which includes any ValueError from the library."""
     try:
         args = build_parser().parse_args(argv)
-        code, report = args.func(args)
-    except InputError as exc:
+        report = args.func(args)
+    except (InputError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print("\n".join(render_text(report)))
-    return code
+    return 0 if all_passed(report) else 1
 
 
 if __name__ == "__main__":

@@ -35,18 +35,10 @@ from .coordgame import (
     theorem1_probs_batch,
 )
 from .hypercomplex import Octonion
-from .qstate import ACTION_LABELS3, SQRT3
+from .qstate import ACTION_LABELS3, SQRT3, outcome_labels
+from .verify import check_record
 
 BUILTIN_GAME_NAMES = ("poker_printed", "poker_zero_sum_corrected", "dilemma_printed")
-
-_PLAYER_LETTERS = "NF"
-
-
-def outcome_labels(players):
-    """All outcome labels for the given player count, low bit last."""
-    return tuple(
-        "".join(bits) for bits in itertools.product(_PLAYER_LETTERS, repeat=players)
-    )
 
 
 class Game3Payoffs:
@@ -124,6 +116,13 @@ class GameFile:
         self.players = players
         self.payoffs = payoffs
         self.zero_sum = zero_sum
+
+    def expected_payoffs(self, distribution):
+        """Each player's expected payoff under a label -> probability dict."""
+        return [
+            sum(distribution[label] * self.payoffs[label][k] for label in distribution)
+            for k in range(self.players)
+        ]
 
     def game3(self):
         if self.players != 3:
@@ -321,15 +320,34 @@ def indifference_check(k, game, samples, tol, rng=None):
     payoff = probs @ game.in_label_order(k)
     expected = payoff.mean(axis=1)
     target = float(game.payoffs_for(k).sum() / 8.0)
-    deviation = float(np.max(np.abs(expected - target)))
-    return {
-        "player": int(k),
-        "samples": samples,
-        "tolerance": float(tol),
-        "target": target,
-        "max_deviation": deviation,
-        "passed": bool(deviation < tol),
-    }
+    return check_record(
+        "own strategy cannot move the payoff off the target",
+        samples,
+        tol,
+        np.max(np.abs(expected - target)),
+        player=int(k),
+        target=target,
+    )
+
+
+def special_payoff_check(k, game):
+    """Test that the quarter-weight mixtures pay player k their table average.
+
+    One exact evaluation of expected_payoff_mixture against the mean of the
+    player's eight payoffs, to 1e-12.
+    """
+    mixtures = [special_distribution(p) for p in (1, 2, 3)]
+    payoff = expected_payoff_mixture(k, *mixtures, game=game)
+    average = float(game.payoffs_for(k).mean())
+    return check_record(
+        "quarter-weight mixtures pay the table average",
+        1,
+        1e-12,
+        abs(payoff - average),
+        player=int(k),
+        payoff=payoff,
+        average_of_eight=average,
+    )
 
 
 def classical_pure_scan(game):
@@ -338,19 +356,14 @@ def classical_pure_scan(game):
     Returns (label, payoffs) pairs for every profile where no unilateral
     deviation strictly improves the deviating player's payoff.
     """
+    swap = {"N": "F", "F": "N"}
     results = []
-    for bits in itertools.product((0, 1), repeat=3):
-        label = "".join(_PLAYER_LETTERS[b] for b in bits)
+    for label in ACTION_LABELS3:
         payoffs = game.by_label(label)
-        stable = True
-        for player in range(3):
-            flipped = list(bits)
-            flipped[player] ^= 1
-            alt = "".join(_PLAYER_LETTERS[b] for b in flipped)
-            if game.by_label(alt)[player] > payoffs[player]:
-                stable = False
-                break
-        if stable:
+        if all(
+            game.by_label(label[:k] + swap[label[k]] + label[k + 1 :])[k] <= payoffs[k]
+            for k in range(3)
+        ):
             results.append((label, tuple(float(x) for x in payoffs)))
     return results
 

@@ -23,6 +23,7 @@ with the opposite letter order; hd_params_reversed translates between the
 two conventions.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -67,9 +68,23 @@ def hd_transition_matrix(p):
     )
 
 
+def _hd_params(p):
+    """Coins of a history game whose stationary state and gain are defined.
+
+    Both need y = p4(p3 + 1 - p1) > 0.  The stationary normalization is y
+    plus (1 - p1)(1 - p2 + p4), a sum of nonnegative terms, so it vanishes
+    only where y does; hd_stationary and hd_p_gain reject the same coins.
+    """
+    q = _params(p)
+    p1, _, p3, p4 = q
+    if not p4 * (p3 + 1.0 - p1) > 0.0:
+        raise ValueError("history game undefined: y = p4(p3 + 1 - p1) vanishes")
+    return q
+
+
 def hd_stationary(p):
     """Stationary distribution of the history chain, in closed form."""
-    p1, p2, p3, p4 = _params(p)
+    p1, p2, p3, p4 = _hd_params(p)
     raw = np.array(
         [
             p3 * p4,
@@ -79,8 +94,6 @@ def hd_stationary(p):
         ]
     )
     norm = (1.0 - p1) * (2.0 * p4 + 1.0 - p2) + p3 * p4
-    if norm <= 0.0:
-        raise ValueError("stationary state undefined: normalization vanishes")
     return raw / norm
 
 
@@ -90,12 +103,21 @@ def hd_p_gain(p):
     Written as 1/(2 + x/y); the game is losing, fair, or winning according
     to the sign of x.  Equals the stationary-weighted coin average.
     """
-    p1, p2, p3, p4 = _params(p)
+    p1, p2, p3, p4 = _hd_params(p)
     y = p4 * (p3 + 1.0 - p1)
-    if y <= 0.0:
-        raise ValueError("gain probability undefined: y = p4(p3 + 1 - p1) vanishes")
     x = (1.0 - p1) * (1.0 - p2) - p3 * p4
     return 1.0 / (2.0 + x / y)
+
+
+def _fixed_point_residual(matrix, stationary):
+    return float(np.max(np.abs(matrix @ stationary - stationary)))
+
+
+def hd_chain(p):
+    """Stationary state of the history chain and the largest change one
+    chain step makes to it, its fixed-point residual."""
+    stationary = hd_stationary(p)
+    return stationary, _fixed_point_residual(hd_transition_matrix(p), stationary)
 
 
 def hd_params_reversed(p):
@@ -137,6 +159,14 @@ def capital_game_stationary(p1, p2):
     return np.clip(pi, 0.0, None)
 
 
+def capital_chain(p1, p2):
+    """Stationary state of the capital chain and its fixed-point residual."""
+    stationary = capital_game_stationary(p1, p2)
+    return stationary, _fixed_point_residual(
+        capital_transition_matrix(p1, p2), stationary
+    )
+
+
 def capital_p_gain(p1, p2):
     """Long-run win probability of the capital game at stationarity."""
     pi = capital_game_stationary(p1, p2)
@@ -173,6 +203,13 @@ def _check_embedding(e):
     return e.kind, eta
 
 
+# Flat indices into an 8x8 matrix of the four entries of each 2x2 diagonal
+# block, row by row.
+_BLOCK_ENTRIES = np.array(
+    [8 * (2 * j + r) + 2 * j + c for j in range(4) for r in (0, 1) for c in (0, 1)]
+)
+
+
 class Multiplexer3:
     """Three-qubit multiplexer: one SU(2) coin per two-qubit history.
 
@@ -188,10 +225,11 @@ class Multiplexer3:
 
     @property
     def matrix(self):
-        m = np.zeros((8, 8), dtype=complex)
-        for j, block in enumerate(self.blocks):
-            m[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = block.matrix
-        return m
+        m = np.zeros(64, dtype=complex)
+        m[_BLOCK_ENTRIES] = [
+            v for b in self.blocks for v in (b.x, b.y, -b.y.conjugate(), b.x.conjugate())
+        ]
+        return m.reshape(8, 8)
 
     def __repr__(self):
         return "Multiplexer3(blocks=%r)" % (self.blocks,)
@@ -206,14 +244,15 @@ def mux_from_coins(p, e):
     """
     params = _params(p)
     kind, eta = _check_embedding(e)
+    phase = eta.conjugate()
     blocks = []
     for gain in params:
-        keep = np.sqrt(gain)
-        flip = np.sqrt(1.0 - gain)
+        keep = math.sqrt(gain)
+        flip = math.sqrt(1.0 - gain)
         if kind == TYPE1:
-            blocks.append(SU2Gate(keep, -flip * np.conj(eta)))
+            blocks.append(SU2Gate(keep, -flip * phase))
         else:
-            blocks.append(SU2Gate(1j * keep, 1j * flip * np.conj(eta)))
+            blocks.append(SU2Gate(1j * keep, 1j * flip * phase))
     return Multiplexer3(blocks)
 
 
@@ -309,6 +348,25 @@ def superpose_mux(r, muxA, muxB):
     return SuperposedMux(np.sqrt(r), np.sqrt(1.0 - r), muxA, muxB)
 
 
+def _mixed_params(r, paramsA, paramsB):
+    """The coins of game A played with probability r, game B otherwise."""
+    r = float(r)
+    if not 0.0 <= r <= 1.0:
+        raise ValueError("mixing weight r must lie in [0, 1]")
+    a = _params(paramsA)
+    b = _params(paramsB)
+    return HDGameParams(*(r * x + (1.0 - r) * y for x, y in zip(a, b)))
+
+
+def superposed_games_mux(r, paramsA, paramsB):
+    """superpose_mux of game A's type2 and game B's type1 multiplexers."""
+    return superpose_mux(
+        r,
+        mux_from_coins(paramsA, CoinEmbedding(TYPE2)),
+        mux_from_coins(paramsB, CoinEmbedding(TYPE1)),
+    )
+
+
 def second_quantization_mux(r, paramsA, paramsB):
     """Multiplexer embedding the convex combination of two coin sets.
 
@@ -316,13 +374,24 @@ def second_quantization_mux(r, paramsA, paramsB):
     itself: each history's effective gain probability is the r-weighted mix
     of the two games' coins, embedded type1.
     """
-    r = float(r)
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("mixing weight r must lie in [0, 1]")
-    a = _params(paramsA)
-    b = _params(paramsB)
-    mixed = HDGameParams(*(r * x + (1.0 - r) * y for x, y in zip(a, b)))
-    return mux_from_coins(mixed, CoinEmbedding(TYPE1))
+    return mux_from_coins(_mixed_params(r, paramsA, paramsB), CoinEmbedding(TYPE1))
+
+
+def sequence_quantized_gains(r, paramsA, paramsB):
+    """Classical gain of playing game A with probability r, game B otherwise,
+    and of its two quantizations.
+
+    Returns (classical, {"superposed": gain, "second_quantization": gain}),
+    each quantization applied once to the mixed coins' stationary-weighted
+    embedded state.
+    """
+    mixed = _mixed_params(r, paramsA, paramsB)
+    init = proper_initial_state(hd_stationary(mixed))
+    muxes = {
+        "superposed": superposed_games_mux(r, paramsA, paramsB),
+        "second_quantization": second_quantization_mux(r, paramsA, paramsB),
+    }
+    return hd_p_gain(mixed), {k: quantized_p_gain(m, init, 0) for k, m in muxes.items()}
 
 
 def _unit_qubit(q):
@@ -354,6 +423,17 @@ def fna_p_win(gates, q1, q2, q3):
     first = sum(abs(q2[s]) ** 2 * loss_to_win[s] for s in (0, 1))
     second = sum(abs(q2[s]) ** 2 * loss_to_win[s + 2] for s in (0, 1))
     return float(abs(q1[0]) ** 2 * first + abs(q1[1]) ** 2 * second)
+
+
+def fna_p_win_pair(gates, q1, q2, q3):
+    """fna_p_win next to the same win probability by direct simulation.
+
+    The simulation applies the gates' multiplexer to the product state of
+    the three qubits and reads a win on the last qubit being |1>.
+    """
+    closed = fna_p_win(gates, q1, q2, q3)
+    state = np.kron(np.kron(q1, q2), q3)
+    return closed, quantized_p_gain(Multiplexer3(gates), state, 1)
 
 
 def parrondo_effect_check(epsilon):

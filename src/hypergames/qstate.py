@@ -13,6 +13,8 @@ entangled sum, and the action-basis matrix for three players has columns of
 norm sqrt(2)) never affect any reported probability.
 """
 
+import itertools
+
 import numpy as np
 
 SQRT3 = np.sqrt(3.0)
@@ -22,10 +24,21 @@ SQRT3 = np.sqrt(3.0)
 ETA3 = complex(0.5, SQRT3 / 2.0)
 ETA2 = complex(1.0, 1.0) / np.sqrt(2.0)
 
-ACTION_LABELS3 = ("NNN", "NNF", "NFN", "NFF", "FNN", "FNF", "FFN", "FFF")
-# Two-player label order; the first letter follows the low-order qubit, which
-# is the convention the quaternionic probability map is stated in.
-ACTION_LABELS2 = ("NN", "FN", "NF", "FF")
+
+def outcome_labels(players):
+    """Every outcome label for the given player count, all-N first.
+
+    One letter per player, in player order: N for no flip, F for flip.  The
+    labels are ordered with player 1's letter varying slowest.  Game files,
+    distributions and payoffs all use this one convention.
+    """
+    return tuple(
+        "".join(letters) for letters in itertools.product("NF", repeat=players)
+    )
+
+
+ACTION_LABELS3 = outcome_labels(3)
+ACTION_LABELS2 = outcome_labels(2)
 
 
 def eta(n_players):
@@ -206,8 +219,8 @@ def basis_matrix2(eta_value=ETA2):
     ec = np.conj(e)
     cols = {
         "NN": [1, 0, 0, 1],
-        "FN": [0, -ec, e, 0],
-        "NF": [0, e, -ec, 0],
+        "NF": [0, -ec, e, 0],
+        "FN": [0, e, -ec, 0],
         "FF": [e**2, 0, 0, ec**2],
     }
     m = np.array([cols[lbl] for lbl in ACTION_LABELS2], dtype=complex).T

@@ -1,10 +1,13 @@
 """Seeded verification suites comparing closed forms against state vectors.
 
 Each suite returns a plain-dict report: the suite name, the seed it ran
-under, a list of checks (each carrying its sample count, tolerance, and
-measured deviation), and an overall pass flag.  Reports contain only JSON
-types and no wall-clock data, so a fixed seed reproduces them byte for
-byte.
+under, a list of check records, and an overall pass flag.  Reports contain
+only JSON types and no wall-clock data, so a fixed seed reproduces them byte
+for byte.
+
+`check_record` is the one builder of check records for the whole package;
+every command's report carries its checks in that shape, and `records`
+finds them again.
 """
 
 import itertools
@@ -20,21 +23,13 @@ from .coordgame import (
 )
 from .hypercomplex import Octonion
 from .parrondo import (
-    TYPE1,
-    TYPE2,
-    CoinEmbedding,
     HDGameParams,
-    Multiplexer3,
     capital_game_stationary,
-    fna_p_win,
-    hd_stationary,
-    mux_from_coins,
+    fna_p_win_pair,
     parrondo_effect_check,
-    proper_initial_state,
     proper_quantized_gains,
-    quantized_p_gain,
-    second_quantization_mux,
-    superpose_mux,
+    sequence_quantized_gains,
+    superposed_games_mux,
 )
 from .qstate import SU2Gate, oracle_distribution3, oracle_probs2_batch, oracle_probs3_batch
 
@@ -55,14 +50,43 @@ def _random_pairs(rng, n):
     return v[:, 0] + 1j * v[:, 1], v[:, 2] + 1j * v[:, 3]
 
 
-def _check(name, samples, tolerance, deviation):
+RECORD_KEYS = ("check", "samples", "tolerance", "max_deviation", "passed")
+
+
+def check_record(name, samples, tolerance, deviation, **values):
+    """One check: its name, sample count, tolerance, worst deviation, verdict.
+
+    The check passes when the deviation is below the tolerance; a deviation
+    of exactly zero passes at any tolerance, so tolerance 0 demands exact
+    agreement.  Named values (the player, the gain under test, ...) follow
+    the five record keys.
+    """
+    deviation = float(deviation)
     return {
         "check": name,
         "samples": int(samples),
         "tolerance": float(tolerance),
-        "max_deviation": float(deviation),
-        "passed": bool(deviation < tolerance),
+        "max_deviation": deviation,
+        "passed": bool(deviation < tolerance or deviation == 0.0),
+        **values,
     }
+
+
+def records(report):
+    """Every check record inside a report, in report order."""
+    if isinstance(report, dict):
+        if "check" in report:
+            yield report
+            return
+        report = report.values()
+    for value in report:
+        if isinstance(value, (dict, list)):
+            yield from records(value)
+
+
+def all_passed(report):
+    """Whether every check record inside the report passed."""
+    return all(r["passed"] for r in records(report))
 
 
 def _report(suite, seed, checks):
@@ -70,7 +94,7 @@ def _report(suite, seed, checks):
         "suite": suite,
         "seed": int(seed),
         "checks": checks,
-        "passed": all(c["passed"] for c in checks),
+        "passed": all_passed(checks),
     }
 
 
@@ -87,7 +111,7 @@ def verify_theorem1(samples=None, seed=0, tol=1e-10):
     return _report(
         "theorem1",
         seed,
-        [_check("octonion closed form vs state vector", samples, tol, dev)],
+        [check_record("octonion closed form vs state vector", samples, tol, dev)],
     )
 
 
@@ -107,8 +131,8 @@ def verify_corollary(samples=None, seed=0, tol=1e-12):
         worst_oracle = max(worst_oracle, dist.max_deviation(oracle))
         cases += 1
     checks = [
-        _check("basis triples produce one-hot distributions", cases, tol, worst_onehot),
-        _check("basis reduction vs state vector", cases, tol, worst_oracle),
+        check_record("basis triples produce one-hot distributions", cases, tol, worst_onehot),
+        check_record("basis reduction vs state vector", cases, tol, worst_oracle),
     ]
     return _report("corollary", seed, checks)
 
@@ -125,7 +149,7 @@ def verify_landsburg(samples=None, seed=0, tol=1e-10):
     return _report(
         "landsburg",
         seed,
-        [_check("quaternion closed form vs state vector", samples, tol, dev)],
+        [check_record("quaternion closed form vs state vector", samples, tol, dev)],
     )
 
 
@@ -143,7 +167,7 @@ def verify_parrondo(samples=None, seed=0, tol=1e-12):
             capital_game_stationary(0.3, 0.625) - np.array([245.0, 180.0, 284.0]) / 709.0
         )
     )
-    checks.append(_check("capital-game stationary states", 2, tol, max(dev_b, dev_mix)))
+    checks.append(check_record("capital-game stationary states", 2, tol, max(dev_b, dev_mix)))
 
     dev_proper = 0.0
     dev_sequence = 0.0
@@ -156,26 +180,13 @@ def verify_parrondo(samples=None, seed=0, tol=1e-12):
         r = rng.uniform()
         pa = HDGameParams(*rng.uniform(0.02, 0.98, size=4))
         pb = HDGameParams(*rng.uniform(0.02, 0.98, size=4))
-        mixed = HDGameParams(*(r * x + (1.0 - r) * y for x, y in zip(pa, pb)))
-        tau = hd_stationary(mixed)
-        init = proper_initial_state(tau)
-        target = float(tau @ np.array(mixed))
-        sup = superpose_mux(
-            r,
-            mux_from_coins(pa, CoinEmbedding(TYPE2)),
-            mux_from_coins(pb, CoinEmbedding(TYPE1)),
-        )
-        u = sup.matrix
+        classical, quantum = sequence_quantized_gains(r, pa, pb)
+        dev_sequence = max(dev_sequence, *(abs(g - classical) for g in quantum.values()))
+        u = superposed_games_mux(r, pa, pb).matrix
         dev_unitary = max(dev_unitary, np.max(np.abs(u.conj().T @ u - np.eye(8))))
-        second = second_quantization_mux(r, pa, pb)
-        dev_sequence = max(
-            dev_sequence,
-            abs(quantized_p_gain(sup, init, 0) - target),
-            abs(quantized_p_gain(second, init, 0) - target),
-        )
-    checks.append(_check("proper quantization reproduces classical gain", samples, tol, dev_proper))
-    checks.append(_check("randomized-sequence quantizations mix coins", samples, tol, dev_sequence))
-    checks.append(_check("superposed multiplexers stay unitary", samples, tol, dev_unitary))
+    checks.append(check_record("proper quantization reproduces classical gain", samples, tol, dev_proper))
+    checks.append(check_record("randomized-sequence quantizations mix coins", samples, tol, dev_sequence))
+    checks.append(check_record("superposed multiplexers stay unitary", samples, tol, dev_unitary))
 
     dev_fna = 0.0
     for _ in range(samples):
@@ -187,20 +198,18 @@ def verify_parrondo(samples=None, seed=0, tol=1e-12):
         for _ in range(3):
             x, y = _random_pairs(rng, 1)
             qubits.append(np.array([complex(x[0]), complex(y[0])]))
-        state = np.kron(np.kron(qubits[0], qubits[1]), qubits[2])
-        direct = quantized_p_gain(Multiplexer3(gates), state, 1)
-        dev_fna = max(dev_fna, abs(fna_p_win(gates, *qubits) - direct))
-    checks.append(_check("product-state closed form vs simulation", samples, tol, dev_fna))
+        closed, direct = fna_p_win_pair(gates, *qubits)
+        dev_fna = max(dev_fna, abs(closed - direct))
+    checks.append(check_record("product-state closed form vs simulation", samples, tol, dev_fna))
 
     effect = parrondo_effect_check(1.0 / 200.0)
     checks.append(
-        {
-            "check": "losing games combine into a winning mixture at epsilon 1/200",
-            "samples": 1,
-            "tolerance": 0.0,
-            "max_deviation": 0.0 if effect["effect"] else 1.0,
-            "passed": bool(effect["effect"]),
-        }
+        check_record(
+            "losing games combine into a winning mixture at epsilon 1/200",
+            1,
+            0.0,
+            0.0 if effect["effect"] else 1.0,
+        )
     )
     return _report("parrondo", seed, checks)
 
@@ -221,7 +230,7 @@ def run_suite(name, samples=None, seed=0):
             "suite": "all",
             "seed": int(seed),
             "suites": reports,
-            "passed": all(r["passed"] for r in reports),
+            "passed": all_passed(reports),
         }
     if name not in _SUITE_RUNNERS:
         raise ValueError("unknown suite %r" % (name,))

@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergames import verify
 from hypergames.cli import InputError, main, parse_strategy
@@ -114,6 +118,21 @@ class TestDistributionCommand:
         )
         assert code == 2
         assert "3 players" in err or "players" in err
+
+    def test_two_player_payoffs_in_player_order(self, capsys, tmp_path):
+        # Player 1 flips, player 2 does not: the outcome is FN, which pays
+        # player 1 -1 and player 2 1.
+        doc = {"players": 2, "payoffs": {"NN": [0, 0], "NF": [1, -1], "FN": [-1, 1], "FF": [0, 0]}}
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(doc))
+        flip = "0,0,0.70710678118654752,0.70710678118654752"
+        code, out, _ = run_cli(
+            capsys, "distribution", "--game", str(path), "--format", "json", "--", flip, IDENTITY
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["distribution"]["FN"] == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(report["payoffs"], [-1.0, 1.0], atol=1e-12)
 
     def test_json_round_trip(self, capsys):
         _, out, _ = run_cli(
@@ -354,3 +373,76 @@ def test_non_finite_and_non_positive_inputs_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err and all(line.startswith("error:") for line in err.splitlines())
+
+
+_NUMBER = st.one_of(
+    st.sampled_from(["0", "1", "-1", "nan", "inf", "-inf", "1e309", "-0", "2", "x", ""]),
+    st.floats(0.0, 1.0).map(repr),
+    st.floats().map(repr),
+)
+
+
+def _csv():
+    """Comma-separated numbers, usually four of them."""
+    return st.sampled_from((4, 4, 3, 5)).flatmap(
+        lambda n: st.lists(_NUMBER, min_size=n, max_size=n).map(",".join)
+    )
+
+
+_VALID_STRATEGY = st.sampled_from(
+    [IDENTITY, FLIP, "0.6,0,0.8,0", "0,0.6,0,-0.8", "1.0000001,0,0,0"]
+)
+_STRATEGIES = st.sampled_from([2, 3, 2, 3, 0, 1, 4]).flatmap(
+    lambda n: st.lists(st.one_of(_VALID_STRATEGY, _csv()), min_size=n, max_size=n)
+)
+
+
+def _four(low, high):
+    """Four comma-separated reals in [low, high], or any _csv."""
+    valid = st.lists(st.floats(low, high), min_size=4, max_size=4)
+    return st.one_of(valid.map(lambda v: ",".join(map(repr, v))), _csv())
+
+
+def _options(choices):
+    """A random subset of (flag, value strategy) pairs, flattened into argv."""
+    return st.lists(st.sampled_from(choices), unique_by=lambda c: c[0]).flatmap(
+        lambda picked: st.tuples(*(st.tuples(st.just(f), v) for f, v in picked))
+    ).map(lambda pairs: [x for pair in pairs for x in pair])
+
+
+_DISTRIBUTION_ARGV = st.tuples(
+    _STRATEGIES,
+    _options([
+        ("--method", st.sampled_from(["both", "octonion", "quaternion", "oracle"])),
+        ("--game", st.sampled_from(["poker_printed", "dilemma_printed", "no_such_table"])),
+        ("--tol", _NUMBER),
+        ("--format", st.sampled_from(["text", "json"])),
+    ]),
+).map(lambda t: ["distribution"] + t[1] + ["--"] + t[0])
+
+_PARRONDO_ARGV = st.tuples(
+    st.sampled_from(["hd", "capital", "sequence", "fna"]),
+    _options([
+        ("--coins", _four(0.0, 1.0)),
+        ("--p1", _NUMBER),
+        ("--p2", _NUMBER),
+        ("--epsilon", _NUMBER),
+        ("--thetas", _four(-7.0, 7.0)),
+        ("--phis", _four(-7.0, 7.0)),
+        ("--etas", _four(-7.0, 7.0)),
+        ("--format", st.sampled_from(["text", "json"])),
+    ]),
+).map(lambda t: ["parrondo", "--game", t[0]] + t[1])
+
+
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
+@given(st.one_of(_DISTRIBUTION_ARGV, _PARRONDO_ARGV))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_exit_contract_holds_for_any_input(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert all(line.startswith("error:") for line in err.getvalue().splitlines())
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue() != ""

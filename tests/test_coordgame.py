@@ -30,6 +30,7 @@ from hypergames.qstate import (
     oracle_distribution3,
     oracle_probs2_batch,
     oracle_probs3_batch,
+    outcome_labels,
 )
 
 ALLOWED = {p: (0,) + SUBALGEBRA_UNITS[p] for p in (1, 2, 3)}
@@ -337,10 +338,10 @@ class TestTwoPlayerQuaternionMap:
         )
 
     def test_single_flips(self):
-        assert landsburg_probs(0, ETA2, 1, 0).prob("NF") == pytest.approx(
+        assert landsburg_probs(0, ETA2, 1, 0).prob("FN") == pytest.approx(
             1.0, abs=1e-12
         )
-        assert landsburg_probs(1, 0, 0, ETA2).prob("FN") == pytest.approx(
+        assert landsburg_probs(1, 0, 0, ETA2).prob("NF") == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -375,3 +376,26 @@ class TestTwoPlayerQuaternionMap:
     def test_rejects_non_unit_pair(self):
         with pytest.raises(ValueError):
             landsburg_probs(1, 1, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "players,k", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+)
+def test_lone_flip_lands_on_its_players_letter(players, k):
+    """Player k + 1 flipping alone puts all the mass on the one label whose
+    only F is at position k, on the closed form and on the oracle."""
+    flip = (0.0, ETA3 if players == 3 else ETA2)
+    pairs = [flip if p == k else (1.0, 0.0) for p in range(players)]
+    if players == 3:
+        closed = theorem1_distribution(
+            *(embed3(p + 1, a, b) for p, (a, b) in enumerate(pairs))
+        )
+        oracle = oracle_distribution3(*(z for pair in pairs for z in pair))
+    else:
+        closed = landsburg_probs(*(z for pair in pairs for z in pair))
+        oracle = oracle_distribution2(*(z for pair in pairs for z in pair))
+    label = "".join("F" if p == k else "N" for p in range(players))
+    assert label in outcome_labels(players)
+    for dist in (closed, oracle):
+        assert dist.labels == outcome_labels(players)
+        assert dist.prob(label) == pytest.approx(1.0, abs=1e-12)

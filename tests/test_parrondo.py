@@ -128,6 +128,21 @@ class TestHistoryChain:
     def test_stationary_undefined_when_norm_vanishes(self):
         with pytest.raises(ValueError):
             hd_stationary((1.0, 0.5, 0.0, 0.5))
+        with pytest.raises(ValueError):
+            hd_stationary((0.5, 0.5, 0.5, 0.0))
+
+    @given(st.tuples(*[st.sampled_from((0.0, 0.25, 0.5, 1.0))] * 4))
+    @settings(max_examples=200, deadline=None)
+    def test_stationary_and_gain_reject_the_same_coins(self, p):
+        def defined(fn):
+            try:
+                fn(p)
+            except ValueError:
+                return False
+            return True
+
+        assert defined(hd_stationary) == defined(hd_p_gain)
+        assert defined(hd_p_gain) == (p[3] * (p[2] + 1.0 - p[0]) > 0.0)
 
     def test_params_reversed(self):
         rev = hd_params_reversed(COINS_B)

@@ -303,12 +303,12 @@ class TestGameState2:
 
     def test_single_player_flip_lands_on_mixed_labels(self):
         f = flip_gate(ETA2)
-        # Second tensor factor flipped: all weight on the FN slot.
-        assert oracle_distribution2(1, 0, f.x, f.y).prob("FN") == pytest.approx(
+        # Second tensor factor flipped: all weight on the NF slot.
+        assert oracle_distribution2(1, 0, f.x, f.y).prob("NF") == pytest.approx(
             1.0, abs=1e-12
         )
-        # First tensor factor flipped: all weight on the NF slot.
-        assert oracle_distribution2(f.x, f.y, 1, 0).prob("NF") == pytest.approx(
+        # First tensor factor flipped: all weight on the FN slot.
+        assert oracle_distribution2(f.x, f.y, 1, 0).prob("FN") == pytest.approx(
             1.0, abs=1e-12
         )
 
