@@ -1,4 +1,5 @@
-"""Layer timings of the closed forms next to their oracles.
+"""Layer timings of the closed forms next to their oracles, and of the
+verify suites.
 
     python3 benchmarks/layers.py                       # print the JSON record
     python3 benchmarks/layers.py --out BENCH_N.json --label change
@@ -9,13 +10,15 @@ Times ``oct_mul``, ``theorem1_probs_batch``, ``landsburg_probs_batch``,
 profiles at each size in SIZES, in one process with numpy's thread pools at
 one thread.  Before any timing, every closed form must agree with its oracle
 within 1e-10 and ``oct_mul`` must multiply norms within 1e-10 (the Tier-1
-tolerances), so a fast wrong kernel posts no number.
+tolerances), so a fast wrong kernel posts no number.  Each ``verify``
+suite is then timed through ``run_suite`` at its default sample count and
+seed SEED, after one run whose report must pass.
 
 Each entry holds the median and the interquartile range of the wall-clock
-seconds per call over REPEATS calls, after one untimed warm-up call.  The
-record also names the sizes, ``nproc``, the CPU, Python and numpy.  With
-``--out`` the record is stored under ``--label`` in that JSON file, beside
-any records already there.  The package is imported from ``--src``,
+seconds per call over REPEATS (SUITE_REPEATS for a suite) calls, after one
+untimed warm-up call.  The record also names the sizes, ``nproc``, the CPU,
+Python and numpy.  With ``--out`` the record is stored under ``--label`` in
+that JSON file, beside any records already there.  The package is imported from ``--src``,
 ``src/`` of this checkout by default.
 """
 
@@ -35,6 +38,7 @@ import numpy as np  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (16384, 100_000)
 REPEATS = {16384: 21, 100_000: 9}
+SUITE_REPEATS = 9
 SEED = 3
 TOL = 1e-10
 
@@ -116,6 +120,7 @@ def measure():
         }
     return {
         "sizes": sizes,
+        "verify_suites": verify_suites(),
         "seed": SEED,
         "env": {
             "nproc": len(os.sched_getaffinity(0)),
@@ -125,6 +130,18 @@ def measure():
             "threads": {var: os.environ[var] for var in THREAD_VARS},
         },
     }
+
+
+def verify_suites():
+    """Seconds per run_suite call of each suite at its default samples."""
+    from hypergames.verify import SUITE_NAMES, run_suite
+
+    timings = {}
+    for name in SUITE_NAMES:
+        if not run_suite(name, seed=SEED)["passed"]:
+            raise SystemExit("verify suite %s failed at seed %d" % (name, SEED))
+        timings[name] = seconds_per_call(run_suite, (name, None, SEED), SUITE_REPEATS)
+    return timings
 
 
 def main(argv=None):

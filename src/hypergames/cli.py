@@ -10,6 +10,7 @@ passed, 1 when a check failed, 2 on usage or input errors.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -30,7 +31,6 @@ from .equilibria import (
 from .parrondo import (
     HDGameParams,
     capital_chain,
-    capital_p_gain,
     classify_gain,
     fna_p_win_pair,
     hd_chain,
@@ -277,8 +277,7 @@ def cmd_parrondo(args):
         for v, flag in ((args.p1, "--p1"), (args.p2, "--p2")):
             if v is None:
                 raise InputError("%s is required for the capital game" % flag)
-        stationary, residual = capital_chain(args.p1, args.p2)
-        gain = capital_p_gain(args.p1, args.p2)
+        stationary, residual, gain = capital_chain(args.p1, args.p2)
         return {
             "command": "parrondo",
             "game": "capital",
@@ -501,11 +500,17 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first main call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv=None):
     """Run one command; exit 0 when every check record passed, 1 when one
     failed, 2 on bad input, which includes any ValueError from the library."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         report = args.func(args)
     except (InputError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

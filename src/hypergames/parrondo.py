@@ -16,6 +16,13 @@ coin biases directly.  A third quantization that starts from an unentangled
 product state instead of an embedded mixture is provided for the win-on-one
 convention, with its closed-form win probability.
 
+Every formula has one batched kernel.  Coins are (..., 4) arrays, and a
+multiplexer is its (..., 4, 2, 2) array of diagonal blocks, applied to
+(..., 8) states block by block without forming the 8x8 matrix.  The
+scalar entry points pass a batch of one and take row 0, so they agree
+with the kernels' other rows bit for bit; Multiplexer3 and SuperposedMux
+are single-multiplexer views that assemble the dense matrix on demand.
+
 History convention for the 4-state chain: state j means (result two steps
 ago, last result) in the order GG, GL, LG, LL, and coin j is the gain
 probability used at state j.  The literature also writes these formulas
@@ -23,12 +30,11 @@ with the opposite letter order; hd_params_reversed translates between the
 two conventions.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import ETA3, SU2Gate
+from .qstate import ETA3, SU2Gate, batch_of_one
 
 TYPE1 = "type1"
 TYPE2 = "type2"
@@ -44,11 +50,17 @@ class HDGameParams(NamedTuple):
 
 
 def _params(p):
-    q = HDGameParams(*(float(v) for v in p))
-    for v in q:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError("coin probabilities must lie in [0, 1], got %r" % (q,))
-    return q
+    """Coin probabilities as a (..., 4) float array, each in [0, 1]."""
+    p = np.asarray(p, dtype=float)
+    if p.shape[-1:] != (4,):
+        raise ValueError("expected 4 coin probabilities per game")
+    valid = ((0.0 <= p) & (p <= 1.0)).all(axis=-1)
+    if not valid.all():
+        first = p.reshape(-1, 4)[~valid.reshape(-1)][0]
+        raise ValueError(
+            "coin probabilities must lie in [0, 1], got %r" % (HDGameParams(*map(float, first)),)
+        )
+    return p
 
 
 def hd_transition_matrix(p):
@@ -69,41 +81,45 @@ def hd_transition_matrix(p):
 
 
 def _hd_params(p):
-    """Coins of a history game whose stationary state and gain are defined.
+    """Coins of history games whose stationary state and gain are defined.
 
     Both need y = p4(p3 + 1 - p1) > 0.  The stationary normalization is y
     plus (1 - p1)(1 - p2 + p4), a sum of nonnegative terms, so it vanishes
     only where y does; hd_stationary and hd_p_gain reject the same coins.
     """
     q = _params(p)
-    p1, _, p3, p4 = q
-    if not p4 * (p3 + 1.0 - p1) > 0.0:
+    p1, _, p3, p4 = np.moveaxis(q, -1, 0)
+    if not np.all(p4 * (p3 + 1.0 - p1) > 0.0):
         raise ValueError("history game undefined: y = p4(p3 + 1 - p1) vanishes")
     return q
 
 
 def hd_stationary(p):
-    """Stationary distribution of the history chain, in closed form."""
-    p1, p2, p3, p4 = _hd_params(p)
-    raw = np.array(
+    """Stationary distributions of history chains, in closed form.
+
+    Takes (..., 4) coins to (..., 4) distributions.
+    """
+    p1, p2, p3, p4 = np.moveaxis(_hd_params(p), -1, 0)
+    raw = np.stack(
         [
             p3 * p4,
             p4 * (1.0 - p1),
             p4 * (1.0 - p1),
             (1.0 - p1) * (1.0 - p2),
-        ]
+        ],
+        axis=-1,
     )
     norm = (1.0 - p1) * (2.0 * p4 + 1.0 - p2) + p3 * p4
-    return raw / norm
+    return raw / norm[..., np.newaxis]
 
 
 def hd_p_gain(p):
-    """Long-run single-round gain probability of the history game.
+    """Long-run single-round gain probability of history games, shape (...).
 
     Written as 1/(2 + x/y); the game is losing, fair, or winning according
     to the sign of x.  Equals the stationary-weighted coin average.
     """
-    p1, p2, p3, p4 = _hd_params(p)
+    p1, p2, p3, p4 = np.moveaxis(_hd_params(p), -1, 0)
     y = p4 * (p3 + 1.0 - p1)
     x = (1.0 - p1) * (1.0 - p2) - p3 * p4
     return 1.0 / (2.0 + x / y)
@@ -122,8 +138,7 @@ def hd_chain(p):
 
 def hd_params_reversed(p):
     """Translate coin parameters to the opposite history-letter order."""
-    p1, p2, p3, p4 = _params(p)
-    return HDGameParams(p4, p3, p2, p1)
+    return HDGameParams(*(float(v) for v in _params(p)[::-1]))
 
 
 def capital_transition_matrix(p1, p2):
@@ -160,17 +175,17 @@ def capital_game_stationary(p1, p2):
 
 
 def capital_chain(p1, p2):
-    """Stationary state of the capital chain and its fixed-point residual."""
+    """Stationary state of the capital chain, its fixed-point residual, and
+    the long-run win probability at stationarity, from one stationary solve."""
     stationary = capital_game_stationary(p1, p2)
-    return stationary, _fixed_point_residual(
-        capital_transition_matrix(p1, p2), stationary
-    )
+    residual = _fixed_point_residual(capital_transition_matrix(p1, p2), stationary)
+    gain = float(stationary[0] * p1 + (stationary[1] + stationary[2]) * p2)
+    return stationary, residual, gain
 
 
 def capital_p_gain(p1, p2):
     """Long-run win probability of the capital game at stationarity."""
-    pi = capital_game_stationary(p1, p2)
-    return float(pi[0] * p1 + (pi[1] + pi[2]) * p2)
+    return capital_chain(p1, p2)[2]
 
 
 def classify_gain(p_gain, tol=1e-12):
@@ -203,6 +218,65 @@ def _check_embedding(e):
     return e.kind, eta
 
 
+def su2_blocks(x, y):
+    """SU(2) blocks [[x, y], [-conj(y), conj(x)]] of amplitude arrays.
+
+    Broadcasts x and y against each other and returns shape (..., 2, 2).
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+    if np.any(np.abs(np.abs(x) ** 2 + np.abs(y) ** 2 - 1.0) > 1e-9):
+        raise ValueError("SU2Gate needs |x|^2 + |y|^2 = 1")
+    top = np.stack([x, y], axis=-1)
+    bottom = np.stack([-np.conj(y), np.conj(x)], axis=-1)
+    return np.stack([top, bottom], axis=-2)
+
+
+def coin_blocks(p, e):
+    """Multiplexer blocks embedding (..., 4) coins, shape (..., 4, 2, 2).
+
+    With either embedding the squared magnitude of each block's diagonal
+    stays the coin's gain probability, which is what makes the quantization
+    proper.
+    """
+    gains = _params(p)
+    kind, eta = _check_embedding(e)
+    phase = eta.conjugate()
+    keep = np.sqrt(gains)
+    flip = np.sqrt(1.0 - gains)
+    if kind == TYPE1:
+        return su2_blocks(keep, -flip * phase)
+    return su2_blocks(1j * keep, 1j * flip * phase)
+
+
+def _superpose(gamma1, gamma2, blocks1, blocks2):
+    """gamma1 * blocks1 + gamma2 * blocks2 for (...) weights."""
+    w1, w2 = (np.asarray(g)[..., np.newaxis, np.newaxis, np.newaxis] for g in (gamma1, gamma2))
+    return w1 * blocks1 + w2 * blocks2
+
+
+def apply_blocks(blocks, state):
+    """Multiplexers (..., 4, 2, 2) applied to states (..., 8).
+
+    Block j acts on the amplitude pair (2j, 2j + 1), the last qubit at
+    history j; that is the 8x8 block-diagonal matrix's product, whose
+    off-block entries are zero.
+    """
+    pairs = np.asarray(state, dtype=complex)
+    pairs = pairs.reshape(pairs.shape[:-1] + (4, 1, 2))
+    out = blocks[..., 0] * pairs[..., 0] + blocks[..., 1] * pairs[..., 1]
+    return out.reshape(out.shape[:-2] + (8,))
+
+
+def block_unitarity_deviation(blocks):
+    """Largest entry of B^H B - I over all 2x2 blocks.
+
+    Equals the deviation of the assembled 8x8 matrices from unitarity:
+    their off-block entries are exact zeros.
+    """
+    gram = np.einsum("...ki,...kj->...ij", np.conj(blocks), blocks)
+    return float(np.max(np.abs(gram - np.eye(2))))
+
+
 # Flat indices into an 8x8 matrix of the four entries of each 2x2 diagonal
 # block, row by row.
 _BLOCK_ENTRIES = np.array(
@@ -210,11 +284,23 @@ _BLOCK_ENTRIES = np.array(
 )
 
 
+def _dense(blocks):
+    """The 8x8 block-diagonal matrix of a (4, 2, 2) block array."""
+    m = np.zeros(64, dtype=complex)
+    m[_BLOCK_ENTRIES] = blocks.reshape(16)
+    return m.reshape(8, 8)
+
+
+def _gate_array(gates):
+    return su2_blocks([g.x for g in gates], [g.y for g in gates])
+
+
 class Multiplexer3:
     """Three-qubit multiplexer: one SU(2) coin per two-qubit history.
 
-    The assembled matrix is block diagonal, acting on the last qubit with
-    the block selected by the first two qubits.
+    `array` holds the (4, 2, 2) blocks; the assembled matrix is block
+    diagonal, acting on the last qubit with the block selected by the
+    first two qubits.
     """
 
     def __init__(self, blocks):
@@ -222,90 +308,86 @@ class Multiplexer3:
         if len(blocks) != 4 or not all(isinstance(b, SU2Gate) for b in blocks):
             raise ValueError("a multiplexer needs exactly 4 SU2Gate blocks")
         self.blocks = blocks
+        self.array = _gate_array(blocks)
 
     @property
     def matrix(self):
-        m = np.zeros(64, dtype=complex)
-        m[_BLOCK_ENTRIES] = [
-            v for b in self.blocks for v in (b.x, b.y, -b.y.conjugate(), b.x.conjugate())
-        ]
-        return m.reshape(8, 8)
+        return _dense(self.array)
 
     def __repr__(self):
         return "Multiplexer3(blocks=%r)" % (self.blocks,)
 
 
 def mux_from_coins(p, e):
-    """Multiplexer whose blocks embed the four classical coins.
-
-    With either embedding the squared magnitude of the block's diagonal
-    stays the coin's gain probability, which is what makes the quantization
-    proper.
-    """
-    params = _params(p)
-    kind, eta = _check_embedding(e)
-    phase = eta.conjugate()
-    blocks = []
-    for gain in params:
-        keep = math.sqrt(gain)
-        flip = math.sqrt(1.0 - gain)
-        if kind == TYPE1:
-            blocks.append(SU2Gate(keep, -flip * phase))
-        else:
-            blocks.append(SU2Gate(1j * keep, 1j * flip * phase))
-    return Multiplexer3(blocks)
+    """Multiplexer whose blocks embed the four classical coins; a batch of
+    one through coin_blocks."""
+    blocks = coin_blocks(*batch_of_one(p), e)[0]
+    return Multiplexer3(SU2Gate(b[0, 0], b[0, 1]) for b in blocks)
 
 
 def proper_initial_state(pi):
-    """Embed a history distribution as a state with the win slots loaded.
+    """Embed history distributions as states with the win slots loaded.
 
     Square roots of the weights sit on the (history, gain) basis states;
-    the vector is normalized so unnormalized weights are accepted.
+    each vector is normalized so unnormalized weights are accepted.  Takes
+    (..., 4) weights to (..., 8) states.
     """
     pi = np.asarray(pi, dtype=float)
-    if pi.shape != (4,):
+    if pi.shape[-1:] != (4,):
         raise ValueError("expected 4 history weights")
-    if np.min(pi) < 0.0:
+    if np.any(pi < 0.0):
         raise ValueError("history weights must be nonnegative")
-    total = pi.sum()
-    if total <= 0.0:
+    if np.any(pi.sum(axis=-1) <= 0.0):
         raise ValueError("history weights must not all vanish")
-    amps = np.zeros(8)
-    amps[0::2] = np.sqrt(pi)
-    return amps / np.linalg.norm(amps)
+    amps = np.zeros(pi.shape[:-1] + (8,))
+    amps[..., 0::2] = np.sqrt(pi)
+    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
 
 
-def quantized_p_gain(m, init, win_qubit_value):
-    """Win probability after one multiplexer application.
+def quantized_p_gain_batch(blocks, init, win_qubit_value):
+    """Win probabilities after one application of each multiplexer.
 
     Sums the squared output amplitudes over basis states whose last qubit
-    carries the winning value.
+    carries the winning value.  blocks (..., 4, 2, 2), init (..., 8) unit
+    states; returns shape (...).
     """
     if win_qubit_value not in (0, 1):
         raise ValueError("win_qubit_value must be 0 or 1")
     init = np.asarray(init, dtype=complex)
-    if init.shape != (8,):
+    if init.shape[-1:] != (8,):
         raise ValueError("initial state must have 8 amplitudes")
-    if abs(np.linalg.norm(init) - 1.0) > 1e-9:
+    if np.any(np.abs(np.linalg.norm(init, axis=-1) - 1.0) > 1e-9):
         raise ValueError("initial state must have unit norm")
-    out = m.matrix @ init
-    probs = np.abs(out) ** 2
-    return float(probs[win_qubit_value::2].sum())
+    out = apply_blocks(blocks, init)
+    return np.sum(np.abs(out[..., win_qubit_value::2]) ** 2, axis=-1)
 
 
-def proper_quantized_gains(p):
-    """Classical gain of the history game and of its two proper quantizations.
+def quantized_p_gain(m, init, win_qubit_value):
+    """Win probability after one application of the multiplexer view m; a
+    batch of one through quantized_p_gain_batch."""
+    return float(quantized_p_gain_batch(*batch_of_one(m.array, init), win_qubit_value)[0])
 
-    Returns (classical, {TYPE1: gain, TYPE2: gain}).  Each quantization
-    applies the coins' multiplexer once to the stationary-weighted embedded
-    state; being proper, both reproduce the classical gain.
+
+def proper_quantized_gains_batch(p):
+    """Classical gains of history games and of their two proper quantizations.
+
+    Returns (classical, {TYPE1: gains, TYPE2: gains}) for (..., 4) coins.
+    Each quantization applies the coins' multiplexer once to the
+    stationary-weighted embedded state; being proper, both reproduce the
+    classical gain.
     """
     classical = hd_p_gain(p)
     init = proper_initial_state(hd_stationary(p))
     return classical, {
-        kind: quantized_p_gain(mux_from_coins(p, CoinEmbedding(kind)), init, 0)
+        kind: quantized_p_gain_batch(coin_blocks(p, CoinEmbedding(kind)), init, 0)
         for kind in (TYPE1, TYPE2)
     }
+
+
+def proper_quantized_gains(p):
+    """proper_quantized_gains_batch for one coin set, as floats."""
+    classical, gains = proper_quantized_gains_batch(*batch_of_one(p))
+    return float(classical[0]), {kind: float(g[0]) for kind, g in gains.items()}
 
 
 class SuperposedMux:
@@ -326,13 +408,21 @@ class SuperposedMux:
         self.gamma2 = gamma2
         self.mux1 = mux1
         self.mux2 = mux2
+        self.array = _superpose(gamma1, gamma2, mux1.array, mux2.array)
 
     @property
     def matrix(self):
-        return self.gamma1 * self.mux1.matrix + self.gamma2 * self.mux2.matrix
+        return _dense(self.array)
 
     def __repr__(self):
         return "SuperposedMux(gamma1=%r, gamma2=%r)" % (self.gamma1, self.gamma2)
+
+
+def _weight(r, what):
+    r = np.asarray(r, dtype=float)
+    if not np.all((0.0 <= r) & (r <= 1.0)):
+        raise ValueError("%s weight r must lie in [0, 1]" % what)
+    return r
 
 
 def superpose_mux(r, muxA, muxB):
@@ -342,20 +432,26 @@ def superpose_mux(r, muxA, muxB):
     the superposition unitary, with the squared diagonal magnitudes mixing
     the two games' coins in proportion r to 1 - r.
     """
-    r = float(r)
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("superposition weight r must lie in [0, 1]")
+    r = float(_weight(r, "superposition"))
     return SuperposedMux(np.sqrt(r), np.sqrt(1.0 - r), muxA, muxB)
 
 
 def _mixed_params(r, paramsA, paramsB):
     """The coins of game A played with probability r, game B otherwise."""
-    r = float(r)
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("mixing weight r must lie in [0, 1]")
-    a = _params(paramsA)
-    b = _params(paramsB)
-    return HDGameParams(*(r * x + (1.0 - r) * y for x, y in zip(a, b)))
+    r = _weight(r, "mixing")[..., np.newaxis]
+    return r * _params(paramsA) + (1.0 - r) * _params(paramsB)
+
+
+def superposed_games_blocks(r, paramsA, paramsB):
+    """Blocks of game A's type2 and game B's type1 multiplexers superposed
+    with weights sqrt(r) and sqrt(1 - r); r has shape (...)."""
+    r = _weight(r, "superposition")
+    return _superpose(
+        np.sqrt(r),
+        np.sqrt(1.0 - r),
+        coin_blocks(paramsA, CoinEmbedding(TYPE2)),
+        coin_blocks(paramsB, CoinEmbedding(TYPE1)),
+    )
 
 
 def superposed_games_mux(r, paramsA, paramsB):
@@ -377,63 +473,89 @@ def second_quantization_mux(r, paramsA, paramsB):
     return mux_from_coins(_mixed_params(r, paramsA, paramsB), CoinEmbedding(TYPE1))
 
 
-def sequence_quantized_gains(r, paramsA, paramsB):
-    """Classical gain of playing game A with probability r, game B otherwise,
-    and of its two quantizations.
+def sequence_quantized_gains_batch(r, paramsA, paramsB):
+    """Classical gains of playing game A with probability r, game B
+    otherwise, and of their two quantizations.
 
-    Returns (classical, {"superposed": gain, "second_quantization": gain}),
-    each quantization applied once to the mixed coins' stationary-weighted
-    embedded state.
+    Returns (classical, {"superposed": gains, "second_quantization": gains})
+    for (...) weights and (..., 4) coins, each quantization applied once to
+    the mixed coins' stationary-weighted embedded state.
     """
     mixed = _mixed_params(r, paramsA, paramsB)
     init = proper_initial_state(hd_stationary(mixed))
-    muxes = {
-        "superposed": superposed_games_mux(r, paramsA, paramsB),
-        "second_quantization": second_quantization_mux(r, paramsA, paramsB),
+    blocks = {
+        "superposed": superposed_games_blocks(r, paramsA, paramsB),
+        "second_quantization": coin_blocks(mixed, CoinEmbedding(TYPE1)),
     }
-    return hd_p_gain(mixed), {k: quantized_p_gain(m, init, 0) for k, m in muxes.items()}
+    return hd_p_gain(mixed), {
+        k: quantized_p_gain_batch(b, init, 0) for k, b in blocks.items()
+    }
 
 
-def _unit_qubit(q):
+def sequence_quantized_gains(r, paramsA, paramsB):
+    """sequence_quantized_gains_batch for one weight and coin pair, as floats."""
+    classical, gains = sequence_quantized_gains_batch(*batch_of_one(r, paramsA, paramsB))
+    return float(classical[0]), {k: float(g[0]) for k, g in gains.items()}
+
+
+def _unit_qubits(q):
     q = np.asarray(q, dtype=complex)
-    if q.shape != (2,):
+    if q.shape[-1:] != (2,):
         raise ValueError("qubit states need exactly 2 amplitudes")
-    if abs(np.linalg.norm(q) - 1.0) > 1e-9:
+    if np.any(np.abs(np.linalg.norm(q, axis=-1) - 1.0) > 1e-9):
         raise ValueError("qubit states must have unit norm")
     return q
 
 
-def fna_p_win(gates, q1, q2, q3):
-    """Closed-form win probability for the product-state quantization.
+def fna_p_win_batch(blocks, q1, q2, q3):
+    """Closed-form win probabilities for the product-state quantization.
 
-    The three qubits start unentangled; the multiplexer applies coin j to
-    the last qubit according to the first two, and a win is read on the
-    last qubit being |1>.  Only the result-qubit amplitudes mix with the
-    coins, so the probability is a short weighted sum.
+    The three qubits (..., 2) start unentangled; the multiplexer blocks
+    (..., 4, 2, 2) apply coin j to the last qubit according to the first
+    two, and a win is read on the last qubit being |1>.  Only the
+    result-qubit amplitudes mix with the coins, so each probability is a
+    short weighted sum.
     """
+    q1, q2, q3 = (_unit_qubits(q) for q in (q1, q2, q3))
+    x, y = blocks[..., 0, 0], blocks[..., 0, 1]
+    loss_to_win = (
+        np.abs(np.conj(x) * q3[..., 1, np.newaxis] - np.conj(y) * q3[..., 0, np.newaxis]) ** 2
+    )
+    w1, w2 = np.abs(q1) ** 2, np.abs(q2) ** 2
+    first = w2[..., 0] * loss_to_win[..., 0] + w2[..., 1] * loss_to_win[..., 1]
+    second = w2[..., 0] * loss_to_win[..., 2] + w2[..., 1] * loss_to_win[..., 3]
+    return w1[..., 0] * first + w1[..., 1] * second
+
+
+def fna_p_win_pair_batch(blocks, q1, q2, q3):
+    """fna_p_win_batch next to the same win probabilities by direct simulation.
+
+    The simulation applies the multiplexer blocks to the product state of
+    the three qubits and reads a win on the last qubit being |1>.
+    """
+    closed = fna_p_win_batch(blocks, q1, q2, q3)
+    q1, q2, q3 = (np.asarray(q, dtype=complex) for q in (q1, q2, q3))
+    state = q1[..., :, None, None] * q2[..., None, :, None] * q3[..., None, None, :]
+    return closed, quantized_p_gain_batch(blocks, state.reshape(state.shape[:-3] + (8,)), 1)
+
+
+def _gate_rows(gates, q1, q2, q3):
+    """Four SU2Gate coins and three qubits as batch-of-one kernel inputs."""
     gates = tuple(gates)
     if len(gates) != 4 or not all(isinstance(g, SU2Gate) for g in gates):
         raise ValueError("expected exactly 4 SU2Gate coins")
-    q1 = _unit_qubit(q1)
-    q2 = _unit_qubit(q2)
-    q3 = _unit_qubit(q3)
-    loss_to_win = [
-        abs(np.conj(g.x) * q3[1] - np.conj(g.y) * q3[0]) ** 2 for g in gates
-    ]
-    first = sum(abs(q2[s]) ** 2 * loss_to_win[s] for s in (0, 1))
-    second = sum(abs(q2[s]) ** 2 * loss_to_win[s + 2] for s in (0, 1))
-    return float(abs(q1[0]) ** 2 * first + abs(q1[1]) ** 2 * second)
+    return batch_of_one(_gate_array(gates), q1, q2, q3)
+
+
+def fna_p_win(gates, q1, q2, q3):
+    """fna_p_win_batch for four SU2Gate coins and three qubits."""
+    return float(fna_p_win_batch(*_gate_rows(gates, q1, q2, q3))[0])
 
 
 def fna_p_win_pair(gates, q1, q2, q3):
-    """fna_p_win next to the same win probability by direct simulation.
-
-    The simulation applies the gates' multiplexer to the product state of
-    the three qubits and reads a win on the last qubit being |1>.
-    """
-    closed = fna_p_win(gates, q1, q2, q3)
-    state = np.kron(np.kron(q1, q2), q3)
-    return closed, quantized_p_gain(Multiplexer3(gates), state, 1)
+    """fna_p_win_pair_batch for four SU2Gate coins and three qubits."""
+    closed, direct = fna_p_win_pair_batch(*_gate_rows(gates, q1, q2, q3))
+    return float(closed[0]), float(direct[0])
 
 
 def parrondo_effect_check(epsilon):

@@ -280,12 +280,13 @@ def measure(v, labels):
 
 
 def batch_of_one(*values):
-    """Scalars as length-1 arrays, the input shape of a batch kernel.
+    """Scalars or single rows as batches of one, the input shape of a batch
+    kernel.
 
     Scalar entry points pass these and take row 0 of the result, so they
     agree with the kernel's other rows bit for bit.
     """
-    return [np.reshape(v, 1) for v in values]
+    return [np.asarray(v)[np.newaxis] for v in values]
 
 
 def oracle_probs3_batch(A, B, P, Q, E, F, eta_value=ETA3):

@@ -23,15 +23,16 @@ from .coordgame import (
 )
 from .hypercomplex import Octonion
 from .parrondo import (
-    HDGameParams,
+    block_unitarity_deviation,
     capital_game_stationary,
-    fna_p_win_pair,
+    fna_p_win_pair_batch,
     parrondo_effect_check,
-    proper_quantized_gains,
-    sequence_quantized_gains,
-    superposed_games_mux,
+    proper_quantized_gains_batch,
+    sequence_quantized_gains_batch,
+    su2_blocks,
+    superposed_games_blocks,
 )
-from .qstate import SU2Gate, oracle_distribution3, oracle_probs2_batch, oracle_probs3_batch
+from .qstate import oracle_probs2_batch, oracle_probs3_batch
 
 DEFAULT_SAMPLES = {
     "theorem1": 10_000,
@@ -116,20 +117,26 @@ def verify_theorem1(samples=None, seed=0, tol=1e-10):
 
 
 def verify_corollary(samples=None, seed=0, tol=1e-12):
-    """Exhaustive one-hot agreement over all basis-strategy triples."""
+    """Exhaustive one-hot agreement over all basis-strategy triples.
+
+    The basis reduction runs per triple, as the function under test; the
+    oracle runs once over all triples' gates.
+    """
     del samples  # the case count is fixed by the basis
-    cases = 0
-    worst_onehot = 0.0
-    worst_oracle = 0.0
+    probs = []
+    gates = []
     for triple in itertools.product(*(PLAYER_BASIS[p] for p in (1, 2, 3))):
         elements = [Octonion.basis(i) for i in triple]
-        dist = corollary_distribution(*elements)
-        top = np.sort(dist.probs)
-        worst_onehot = max(worst_onehot, float(top[:-1].sum()), abs(float(top[-1]) - 1.0))
-        gates = [su2_of_basis(o, p) for p, o in enumerate(elements, start=1)]
-        oracle = oracle_distribution3(*(z for g in gates for z in (g.x, g.y)))
-        worst_oracle = max(worst_oracle, dist.max_deviation(oracle))
-        cases += 1
+        probs.append(corollary_distribution(*elements).probs)
+        gates.append([su2_of_basis(o, p) for p, o in enumerate(elements, start=1)])
+    probs = np.array(probs)
+    top = np.sort(probs, axis=1)
+    worst_onehot = max(np.max(top[:, :-1].sum(axis=1)), np.max(np.abs(top[:, -1] - 1.0)))
+    amplitudes = np.array([[z for g in row for z in (g.x, g.y)] for row in gates]).T
+    # clipped at 0 like the probabilities of an OutcomeDistribution
+    oracle = np.clip(oracle_probs3_batch(*amplitudes), 0.0, None)
+    worst_oracle = np.max(np.abs(probs - oracle))
+    cases = len(probs)
     checks = [
         check_record("basis triples produce one-hot distributions", cases, tol, worst_onehot),
         check_record("basis reduction vs state vector", cases, tol, worst_oracle),
@@ -154,7 +161,13 @@ def verify_landsburg(samples=None, seed=0, tol=1e-10):
 
 
 def verify_parrondo(samples=None, seed=0, tol=1e-12):
-    """Stationary golden values, proper-quantization identity, closed forms."""
+    """Stationary golden values, proper-quantization identity, closed forms.
+
+    Each randomized check runs its batched kernel once over all samples.
+    Per sample, the stream yields the coins under test, a mixing weight and
+    two games' coins (13 uniforms), then four SU(2) coins and three qubits
+    (7 Haar pairs).
+    """
     samples = DEFAULT_SAMPLES["parrondo"] if samples is None else int(samples)
     rng = np.random.default_rng(seed)
     checks = []
@@ -169,37 +182,23 @@ def verify_parrondo(samples=None, seed=0, tol=1e-12):
     )
     checks.append(check_record("capital-game stationary states", 2, tol, max(dev_b, dev_mix)))
 
-    dev_proper = 0.0
-    dev_sequence = 0.0
-    dev_unitary = 0.0
-    for _ in range(samples):
-        coins = HDGameParams(*rng.uniform(0.02, 0.98, size=4))
-        classical, quantum = proper_quantized_gains(coins)
-        dev_proper = max(dev_proper, *(abs(g - classical) for g in quantum.values()))
+    u = rng.random((samples, 13))
+    scaled = 0.02 + (0.98 - 0.02) * u  # rng.uniform(0.02, 0.98) of the same draws
+    coins, r, pa, pb = scaled[:, :4], u[:, 4], scaled[:, 5:9], scaled[:, 9:13]
 
-        r = rng.uniform()
-        pa = HDGameParams(*rng.uniform(0.02, 0.98, size=4))
-        pb = HDGameParams(*rng.uniform(0.02, 0.98, size=4))
-        classical, quantum = sequence_quantized_gains(r, pa, pb)
-        dev_sequence = max(dev_sequence, *(abs(g - classical) for g in quantum.values()))
-        u = superposed_games_mux(r, pa, pb).matrix
-        dev_unitary = max(dev_unitary, np.max(np.abs(u.conj().T @ u - np.eye(8))))
+    classical, quantum = proper_quantized_gains_batch(coins)
+    dev_proper = max(np.max(np.abs(g - classical)) for g in quantum.values())
+    classical, quantum = sequence_quantized_gains_batch(r, pa, pb)
+    dev_sequence = max(np.max(np.abs(g - classical)) for g in quantum.values())
+    dev_unitary = block_unitarity_deviation(superposed_games_blocks(r, pa, pb))
     checks.append(check_record("proper quantization reproduces classical gain", samples, tol, dev_proper))
     checks.append(check_record("randomized-sequence quantizations mix coins", samples, tol, dev_sequence))
     checks.append(check_record("superposed multiplexers stay unitary", samples, tol, dev_unitary))
 
-    dev_fna = 0.0
-    for _ in range(samples):
-        gates = []
-        for _ in range(4):
-            x, y = _random_pairs(rng, 1)
-            gates.append(SU2Gate(complex(x[0]), complex(y[0])))
-        qubits = []
-        for _ in range(3):
-            x, y = _random_pairs(rng, 1)
-            qubits.append(np.array([complex(x[0]), complex(y[0])]))
-        closed, direct = fna_p_win_pair(gates, *qubits)
-        dev_fna = max(dev_fna, abs(closed - direct))
+    x, y = (v.reshape(samples, 7) for v in _random_pairs(rng, 7 * samples))
+    qubits = (np.stack([x[:, k], y[:, k]], axis=-1) for k in (4, 5, 6))
+    closed, direct = fna_p_win_pair_batch(su2_blocks(x[:, :4], y[:, :4]), *qubits)
+    dev_fna = np.max(np.abs(closed - direct))
     checks.append(check_record("product-state closed form vs simulation", samples, tol, dev_fna))
 
     effect = parrondo_effect_check(1.0 / 200.0)

@@ -3,12 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypergames
 from hypergames import verify
 from hypergames.cli import InputError, main, parse_strategy
 
@@ -446,3 +451,42 @@ def test_exit_contract_holds_for_any_input(argv):
     assert all(line.startswith("error:") for line in err.getvalue().splitlines())
     if code == 2:
         assert out.getvalue() == "" and err.getvalue() != ""
+
+
+def fresh_process_run(argv):
+    """main(argv) in a new interpreter: exit code, stdout and stderr."""
+    src = str(pathlib.Path(hypergames.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys; from hypergames.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_back_to_back_calls_match_fresh_processes(capsys):
+    # main reuses one parser; no call may leak options into the next.
+    calls = [
+        ["parrondo", "--game", "hd", "--coins", "0.9,0.25,0.25,0.7", "--format", "json"],
+        ["parrondo", "--game", "capital", "--p1", "0.3", "--p2", "0.625"],
+        ["verify", "--suite", "landsburg", "--samples", "16", "--seed", "5"],
+        ["parrondo", "--game", "hd", "--coins", "0.5,0.5,0.5"],
+        ["verify", "--suite", "corollary", "--format", "json"],
+        ["parrondo", "--game", "fna"],
+    ]
+    in_process = [run_cli(capsys, *argv) for argv in calls]
+    assert in_process == [fresh_process_run(argv) for argv in calls]
+
+
+def test_capital_command_solves_the_chain_once(capsys, monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    code, _, _ = run_cli(capsys, "parrondo", "--game", "capital", "--p1", "0.3", "--p2", "0.625")
+    assert code == 0
+    assert len(calls) == 1
