@@ -19,7 +19,9 @@ from .hypercomplex import (
     SUBALGEBRA_UNITS,
     Octonion,
     complex_pair_mul,
+    compile_rows,
     coordinate_first,
+    coordinate_last,
     gather_mul,
     gather_table,
     oct_mul,
@@ -49,8 +51,6 @@ PLAYER_BASIS = {p: (0,) + SUBALGEBRA_UNITS[p] for p in (1, 2, 3)}
 # Outcome indices read off the g products and off the h products.
 _G_OUTPUTS = (0, 1, 3, 7)
 _H_OUTPUTS = (2, 4, 5, 6)
-# Row of the stacked (g, h) outputs that feeds each ACTION_LABELS3 column.
-_COLUMNS = [(_G_OUTPUTS + _H_OUTPUTS).index(k) for k in LABEL_ORDER]
 # Player 1's s- = (-Re A, Im A) lies on {0, 1} and s+ = its B part on
 # {2, 4}.  Times player 2's subalgebra they land on these disjoint halves,
 # so one product s t holds both s- t and s+ t.
@@ -71,15 +71,29 @@ def _stacked_halves(outputs):
     return tuple(np.stack(parts, axis=-1) for parts in zip(*halves))
 
 
-# The two routes' tables.  The sign variants are folded into the signs:
-# s- negates s's real part, t10 negates t's real part and u01 negates u's
+# The g and h routes: first-product table, second-product table and the
+# outcome indices read.  The sign variants are folded into the signs: s-
+# negates s's real part, t10 negates t's real part and u01 negates u's
 # coordinate 1.
 _FIRST = gather_table(PLAYER_BASIS[1], PLAYER_BASIS[2])
-_G_TABLES = (
-    _sign_flipped(_FIRST, left=(0,), right=(0,)),
-    _sign_flipped(_stacked_halves(_G_OUTPUTS), right=(1,)),
+_ROUTE_TABLES = (
+    (
+        _sign_flipped(_FIRST, left=(0,), right=(0,)),
+        _sign_flipped(_stacked_halves(_G_OUTPUTS), right=(1,)),
+        _G_OUTPUTS,
+    ),
+    (_sign_flipped(_FIRST, left=(0,)), _stacked_halves(_H_OUTPUTS), _H_OUTPUTS),
 )
-_H_TABLES = (_sign_flipped(_FIRST, left=(0,)), _stacked_halves(_H_OUTPUTS))
+# The same, compiled for gather_mul, with the ACTION_LABELS3 column of each
+# outcome read.
+_ROUTES = tuple(
+    (
+        compile_rows(first),
+        compile_rows(second),
+        tuple(ACTION_LABELS3.index(OUTCOME_OF_INDEX[k]) for k in outputs),
+    )
+    for first, second, outputs in _ROUTE_TABLES
+)
 
 
 class OctStrategyFamily:
@@ -122,7 +136,7 @@ def _embed(player, A, B):
     c[1] = A.imag
     c[mid] = SQRT3 / 2.0 * B.real - 0.5 * B.imag
     c[high] = 0.5 * B.real + SQRT3 / 2.0 * B.imag
-    return np.moveaxis(c, 0, -1)
+    return coordinate_last(c)
 
 
 def _negated(c, k):
@@ -159,13 +173,27 @@ def _theorem1_kernel(s, t, u):
     on the players' four-coordinate supports and forms only the outputs
     read; s+ and s- share one first product, and the second product puts
     their halves on one axis.
+
+    Both routes write into the same buffers, made once per call: the first
+    product's rows, the halves, the probabilities and the scratch rows.
+    The halves are squared in place.
     """
     s, t, u = coordinate_first(s, t, u)
-    routes = []
-    for first, second in (_G_TABLES, _H_TABLES):
-        halves = gather_mul(gather_mul(s, t, first), u, second)
-        routes.append(halves[:, 0] ** 2 + halves[:, 1] ** 2)
-    return np.moveaxis(np.concatenate(routes)[_COLUMNS], 0, -1)
+    inner = np.broadcast_shapes(s.shape[1:], t.shape[1:])
+    shape = np.broadcast_shapes(inner, u.shape[1:])
+    first = np.empty((8,) + inner)
+    halves = np.empty((4, 2) + shape)
+    probs = np.empty((8,) + shape)
+    scratch = np.empty((2,) + shape)
+    # s t broadcasts without u, so its batch shape can be smaller.
+    first_scratch = scratch[(slice(None),) + tuple(map(slice, inner))]
+    for first_rows, second_rows, columns in _ROUTES:
+        gather_mul(s, t, first_rows, first, first_scratch)
+        gather_mul(first, u, second_rows, halves, scratch)
+        np.square(halves, out=halves)
+        for k, column in enumerate(columns):
+            np.add(halves[k, 0], halves[k, 1], out=probs[column, ...])
+    return coordinate_last(probs)
 
 
 def theorem1_distribution(fam1, fam2, fam3):
@@ -269,7 +297,9 @@ def landsburg_probs_batch(A, B, P, Q):
     columns in ACTION_LABELS2 order, matching qstate.oracle_probs2_batch.
     """
     A, B, P, Q = (np.asarray(z, dtype=complex) for z in (A, B, P, Q))
-    first, second = complex_pair_mul(A, B * ETA2, P, -ETA2 * np.conj(Q))
+    # Named, not a temporary: see complex_pair_mul.
+    Qc = np.conj(Q)
+    first, second = complex_pair_mul(A, B * ETA2, P, -ETA2 * Qc)
     probs = np.stack(
         [first.real**2, second.real**2, second.imag**2, first.imag**2],
         axis=-1,

@@ -14,9 +14,13 @@ Products are formed from signed-gather tables derived at import from the
 structure tensor OCT_TENSOR, the one statement of the multiplication rule.
 Of its 512 entries only 64 are non-zero, so a table lists, for each output
 coordinate, just its (left index, right index, sign) terms; restricting the
-left and right supports and the outputs drops more.  oct_mul is the
-full-support case, and the closed form in coordgame uses restricted tables
-on each player's four-coordinate subalgebra.
+left and right supports and the outputs drops more.  Each table is compiled
+once into per-row term lists, and gather_mul writes the product one output
+row at a time into preallocated buffers, with no temporary arrays.  The
+terms are added in the table's order, so the result does not depend on the
+batch shape.  oct_mul is the full-support case, and the closed form in
+coordgame uses restricted tables on each player's four-coordinate
+subalgebra.
 """
 
 import numpy as np
@@ -79,7 +83,39 @@ def gather_table(left=BASIS, right=BASIS, outputs=BASIS):
     )
 
 
-_FULL_TABLE = gather_table()
+def compile_rows(table):
+    """A signed-gather table as per-row term lists, the form gather_mul runs.
+
+    The index arrays of table have shape (terms,) + lead.  Returns (lead,
+    rows), one row per lead index in C order, each (index, i, j, negate,
+    later): index selects the row of a coordinate-first output of any batch
+    shape, a[i] b[j] is the first term and negate whether it enters
+    negated, and later lists the other terms as (i, j, fold) with fold
+    np.add or np.subtract.  Everything is Python ints, index tuples and
+    ufuncs, compiled once, so gather_mul does no work on the table.
+
+    The terms keep the table's order, except that a row opening with a
+    negative term and then a positive one opens with the positive one.
+    IEEE addition commutes exactly, so -x + y and y - x agree to the bit,
+    and such a row needs no negation.
+    """
+    i, j, sign = (np.asarray(part) for part in table)
+    rows = []
+    for lead in np.ndindex(i.shape[1:]):
+        col = (slice(None),) + lead
+        terms = [
+            ((a, ...), (b, ...), s < 0)
+            for a, b, s in zip(i[col].tolist(), j[col].tolist(), sign[col].tolist())
+        ]
+        if len(terms) > 1 and terms[0][2] and not terms[1][2]:
+            terms[:2] = terms[1::-1]
+        (a, b, negate), later = terms[0], terms[1:]
+        folds = tuple((c, d, np.subtract if neg else np.add) for c, d, neg in later)
+        rows.append((lead + (...,), a, b, negate, folds))
+    return i.shape[1:], tuple(rows)
+
+
+_FULL_ROWS = compile_rows(gather_table())
 
 
 def coordinate_first(*coeffs):
@@ -89,31 +125,49 @@ def coordinate_first(*coeffs):
     of axes and broadcast row by row.
     """
     ndim = max(c.ndim for c in coeffs)
-    return [
-        np.moveaxis(c.reshape((1,) * (ndim - c.ndim) + c.shape), -1, 0)
-        for c in coeffs
-    ]
+    axes = (ndim - 1,) + tuple(range(ndim - 1))
+    return [c.reshape((1,) * (ndim - c.ndim) + c.shape).transpose(axes) for c in coeffs]
 
 
-def gather_mul(a, b, table):
-    """Product of coordinate-first operands over a signed-gather table.
+def coordinate_last(c):
+    """The (..., 8) view of a coordinate-first array; undoes coordinate_first."""
+    return c.transpose(tuple(range(1, c.ndim)) + (0,))
+
+
+def gather_mul(a, b, table, out=None, scratch=None):
+    """Product of coordinate-first operands over a compiled gather table.
 
     a[i] and b[j] are the coefficient arrays of basis elements i and j, of
     equal number of axes (see coordinate_first); rows outside the table's
-    supports are never read.  A table whose index arrays have shape
-    (terms,) + lead gives a result of shape lead + the broadcast batch
-    shape.  Terms are added one at a time, so every element is rounded the
+    supports are never read.  table comes from compile_rows, and the result
+    has shape lead + the broadcast batch shape.
+
+    Each output row is formed in place, with no temporaries: the first term
+    is multiplied into a spare row (negated if its sign is -1), each later
+    term into a term row, and np.add or np.subtract folds the term into the
+    output row.  Only the first fold reads the spare row, so that fold does
+    not write over its own input, which numpy runs about twice as slowly
+    on one-element rows.  out, and scratch of shape (2,) + the batch shape
+    for the spare and term rows, may be passed in to reuse them.  Terms are
+    added one at a time in table order, so every element is rounded the
     same way whatever the batch shape.
     """
-    trailing = (1,) * (a.ndim - 1)
-    out = None
-    for i, j, sign in zip(*table):
-        term = np.multiply(a[i], b[j])
-        term *= sign.reshape(sign.shape + trailing)
-        if out is None:
-            out = term
-        else:
-            out += term
+    lead, rows = table
+    if out is None:
+        out = np.empty(lead + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    if scratch is None:
+        scratch = np.empty((2,) + out.shape[len(lead):])
+    spare, term = scratch[0, ...], scratch[1, ...]
+    for index, i, j, negate, later in rows:
+        row = out[index]
+        total = spare if later else row
+        np.multiply(a[i], b[j], total)
+        if negate:
+            np.negative(total, total)
+        for i, j, fold in later:
+            np.multiply(a[i], b[j], term)
+            fold(total, term, row)
+            total = row
     return out
 
 
@@ -132,7 +186,7 @@ def oct_mul(a, b):
     coefficient array.  The full-support case of gather_mul.
     """
     ca, cb = coordinate_first(_coeffs(a), _coeffs(b))
-    out = np.moveaxis(gather_mul(ca, cb, _FULL_TABLE), 0, -1)
+    out = coordinate_last(gather_mul(ca, cb, _FULL_ROWS))
     if isinstance(a, Octonion) and isinstance(b, Octonion):
         return Octonion(out)
     return out
@@ -254,8 +308,14 @@ def complex_pair_mul(a0, a1, b0, b1):
     (a0 + a1 j)(b0 + b1 j) = (a0 b0 - a1 conj(b1)) + (a1 conj(b0) + a0 b1) j,
     which is the bilinear extension of z*j = j*conj(z).  Accepts complex
     scalars or stacked arrays and returns the product's pair.
+
+    The conjugates are bound to names before they are multiplied.  From
+    256 KiB numpy would otherwise compute a1 * conj(b1) in the temporary
+    conjugate's buffer with the operands swapped, which rounds differently,
+    and a large batch's rows would differ from the same rows alone.
     """
-    return a0 * b0 - a1 * np.conj(b1), a1 * np.conj(b0) + a0 * b1
+    b0c, b1c = np.conj(b0), np.conj(b1)
+    return a0 * b0 - a1 * b1c, a1 * b0c + a0 * b1
 
 
 def quat_mul(a, b):

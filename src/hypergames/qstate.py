@@ -174,14 +174,21 @@ def action_basis3(eta_value=ETA3):
     return {lbl: m[:, k].copy() for k, lbl in enumerate(ACTION_LABELS3)}
 
 
-def _in_action_basis(v, m):
-    """Rows of v expressed in the action basis whose columns are m.
+def _in_action_basis(v, m_conj):
+    """Rows of v expressed in the action basis whose columns are conj(m_conj).
 
-    Applies the conjugate transpose of m to each row.  einsum rather than
-    matmul: its per-row sum order does not depend on the batch size, so a
-    batch of one reproduces the matching row of any batch bit for bit.
+    Applies the conjugate transpose of that basis matrix to each row.
+    einsum rather than matmul: its per-row sum order does not depend on the
+    batch size, so a batch of one reproduces the matching row of any batch
+    bit for bit.
     """
-    return np.einsum("...i,ij->...j", np.asarray(v, dtype=complex), np.conj(m))
+    return np.einsum("...i,ij->...j", np.asarray(v, dtype=complex), m_conj)
+
+
+# Conjugated basis matrices at the default phase, built once rather than on
+# every oracle call.
+_BASIS3_CONJ = np.conj(basis_matrix3())
+_BASIS3_CONJ.setflags(write=False)
 
 
 def to_action_basis3(v, eta_value=ETA3):
@@ -189,7 +196,9 @@ def to_action_basis3(v, eta_value=ETA3):
 
     Handles a single 8-vector or a stack of rows shaped (..., 8).
     """
-    return _in_action_basis(v, basis_matrix3(eta_value))
+    if eta_value == ETA3:
+        return _in_action_basis(v, _BASIS3_CONJ)
+    return _in_action_basis(v, np.conj(basis_matrix3(eta_value)))
 
 
 def from_action_basis3(w, eta_value=ETA3):
@@ -232,8 +241,14 @@ def action_basis2(eta_value=ETA2):
     return {lbl: m[:, k].copy() for k, lbl in enumerate(ACTION_LABELS2)}
 
 
+_BASIS2_CONJ = np.conj(basis_matrix2())
+_BASIS2_CONJ.setflags(write=False)
+
+
 def to_action_basis2(v, eta_value=ETA2):
-    return _in_action_basis(v, basis_matrix2(eta_value))
+    if eta_value == ETA2:
+        return _in_action_basis(v, _BASIS2_CONJ)
+    return _in_action_basis(v, np.conj(basis_matrix2(eta_value)))
 
 
 class OutcomeDistribution:

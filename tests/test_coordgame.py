@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypergames.coordgame import (
+    _ROUTE_TABLES,
     INDEX_OF_OUTCOME,
     LABEL_ORDER,
     OUTCOME_OF_INDEX,
@@ -19,7 +20,14 @@ from hypergames.coordgame import (
     theorem1_distribution,
     theorem1_probs_batch,
 )
-from hypergames.hypercomplex import OCT_TENSOR, SUBALGEBRA_UNITS, Octonion
+from hypergames.hypercomplex import (
+    OCT_TENSOR,
+    SUBALGEBRA_UNITS,
+    Octonion,
+    coordinate_first,
+    gather_table,
+    oct_mul,
+)
 from hypergames.qstate import (
     ACTION_LABELS2,
     ACTION_LABELS3,
@@ -174,15 +182,19 @@ class TestScalarEntryPointsAreBatchRows:
     """Each scalar entry point is a batch of one through its batch kernel."""
 
     def test_scalar_results_equal_batch_rows_exactly(self):
+        # 20000 rows: from 16384 complex rows (256 KiB) numpy may compute a
+        # product in a temporary operand's buffer, operands swapped, which
+        # rounds differently; sampled rows must still match a batch of one.
+        n = 20000
         rng = np.random.default_rng(41)
-        a, b = unit_pairs(rng, 64)
-        p, q = unit_pairs(rng, 64)
-        e, f = unit_pairs(rng, 64)
+        a, b = unit_pairs(rng, n)
+        p, q = unit_pairs(rng, n)
+        e, f = unit_pairs(rng, n)
         closed3 = theorem1_probs_batch(a, b, p, q, e, f)
         closed2 = landsburg_probs_batch(a, b, p, q)
         oracle3 = oracle_probs3_batch(a, b, p, q, e, f)
         oracle2 = oracle_probs2_batch(a, b, p, q)
-        for k in range(64):
+        for k in range(0, n, 157):
             three = (a[k], b[k], p[k], q[k], e[k], f[k])
             fams = family_triple(*three)
             assert np.array_equal(theorem1_distribution(*fams).probs, closed3[k])
@@ -255,6 +267,89 @@ class TestSparseKernel:
         with pytest.raises(ValueError):
             embed3(2, 0, drift)
         theorem1_probs_batch(np.sqrt(1 + 5e-10), 0, 1, 0, 1, 0)
+
+
+def term_at_a_time_mul(a, b, table):
+    """Reference gather product: one gathered (lead + batch) block per term,
+    signed, added in table order."""
+    trailing = (1,) * (a.ndim - 1)
+    out = None
+    for i, j, sign in zip(*table):
+        term = np.multiply(a[i], b[j])
+        term *= sign.reshape(sign.shape + trailing)
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out
+
+
+def term_at_a_time_theorem1(s, t, u):
+    """The closed-form kernel over term_at_a_time_mul, on the raw tables."""
+    s, t, u = coordinate_first(s, t, u)
+    routes, outputs = [], ()
+    for first, second, read in _ROUTE_TABLES:
+        halves = term_at_a_time_mul(term_at_a_time_mul(s, t, first), u, second)
+        routes.append(halves[:, 0] ** 2 + halves[:, 1] ** 2)
+        outputs += read
+    columns = [outputs.index(k) for k in LABEL_ORDER]
+    return np.moveaxis(np.concatenate(routes)[columns], 0, -1)
+
+
+def same_bits(x, y):
+    """Equal shapes and bytes: np.array_equal that also tells -0.0 from 0.0."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestRowWiseProductIsTermAtATime:
+    """gather_mul writes rows in place; the result keeps every bit of the
+    term-at-a-time product it replaced."""
+
+    def test_theorem1_kernel_on_a_large_batch(self):
+        rng = np.random.default_rng(67)
+        n = 16384
+        s, t, u = (_embed(k, *unit_pairs(rng, n)) for k in (1, 2, 3))
+        assert same_bits(_theorem1_kernel(s, t, u), term_at_a_time_theorem1(s, t, u))
+
+    @pytest.mark.parametrize("player", [1, 2, 3])
+    def test_theorem1_kernel_broadcast_against_basis_pairs(self, player):
+        # indifference_check's shape: (1000, 1) pairs of one player against
+        # the 16 basis pairs of the other two, including exact zeros.
+        rng = np.random.default_rng(71 + player)
+        embedded = {player: _embed(player, *(z[:, None] for z in unit_pairs(rng, 1000)))}
+        others = [k for k in (1, 2, 3) if k != player]
+        hot = {k: np.eye(8)[list(PLAYER_BASIS[k])] for k in others}
+        embedded[others[0]] = np.repeat(hot[others[0]], 4, axis=0)
+        embedded[others[1]] = np.tile(hot[others[1]], (4, 1))
+        s, t, u = (embedded[k] for k in (1, 2, 3))
+        probs = _theorem1_kernel(s, t, u)
+        assert probs.shape == (1000, 16, 8)
+        assert same_bits(probs, term_at_a_time_theorem1(s, t, u))
+
+    def test_theorem1_kernel_on_scalar_families(self):
+        rng = np.random.default_rng(73)
+        for _ in range(20):
+            fams = family_triple(*(z[0] for _ in range(3) for z in unit_pairs(rng, 1)))
+            s, t, u = (fam.o00.c for fam in fams)
+            assert _theorem1_kernel(s, t, u).shape == (8,)
+            assert same_bits(_theorem1_kernel(s, t, u), term_at_a_time_theorem1(s, t, u))
+            assert same_bits(theorem1_distribution(*fams).probs, _theorem1_kernel(s, t, u))
+
+    def test_oct_mul(self):
+        rng = np.random.default_rng(79)
+        eye = np.eye(8)
+        signed = eye * rng.choice([-1.0, 0.0, 1.0], size=(8, 8))
+        cases = [
+            (rng.standard_normal((5000, 8)), rng.standard_normal((5000, 8))),
+            (rng.standard_normal(8), rng.standard_normal(8)),
+            (rng.standard_normal((50, 1, 8)), rng.standard_normal((40, 8))),
+            (eye[:, None], signed[None, :]),
+        ]
+        for a, b in cases:
+            ca, cb = coordinate_first(a, b)
+            expected = np.moveaxis(term_at_a_time_mul(ca, cb, gather_table()), 0, -1)
+            assert same_bits(oct_mul(a, b), expected)
 
 
 class TestBasisStrategyReduction:

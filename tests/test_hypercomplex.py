@@ -10,6 +10,7 @@ from hypergames.hypercomplex import (
     SUBALGEBRA_UNITS,
     Octonion,
     Quaternion,
+    compile_rows,
     gather_mul,
     gather_table,
     oct_conj,
@@ -232,7 +233,7 @@ class TestGatherTables:
     def test_restricted_product_reads_only_its_supports(self):
         rng = np.random.default_rng(53)
         a, b = rng.standard_normal((2, 8, 10))
-        table = gather_table((0, 1, 2, 4), (0, 1, 5, 6), (3, 7))
+        table = compile_rows(gather_table((0, 1, 2, 4), (0, 1, 5, 6), (3, 7)))
         junk_a, junk_b = a.copy(), b.copy()
         junk_a[[3, 5, 6, 7]] = np.nan
         junk_b[[2, 3, 4, 7]] = np.nan

@@ -197,6 +197,23 @@ class TestActionBasis3:
         assert abs(np.conj(e) ** 3 - e**3) > 1e-6
 
 
+class TestBasisChangeAtAnyPhase:
+    @pytest.mark.parametrize(
+        "to_basis, build, default",
+        [(to_action_basis3, basis_matrix3, ETA3), (to_action_basis2, basis_matrix2, ETA2)],
+    )
+    def test_equals_the_freshly_built_matrix(self, to_basis, build, default):
+        # The default phase reads a matrix built once at import; any other
+        # phase builds its own.  Both give the einsum of the built matrix.
+        rng = np.random.default_rng(43)
+        size = build(default).shape[0]
+        rows = rng.standard_normal((5, size)) + 1j * rng.standard_normal((5, size))
+        for e in (default, complex(default), np.exp(0.4j)):
+            expected = np.einsum("...i,ij->...j", rows, np.conj(build(e)))
+            assert np.array_equal(to_basis(rows, e), expected)
+        assert np.array_equal(to_basis(rows), to_basis(rows, default))
+
+
 class TestBasisChange3:
     def test_inverse_pair_product(self):
         m = basis_matrix3(ETA3)
