@@ -1,10 +1,9 @@
 """Layer timings of the closed forms next to their oracles, of the scalar
 entry points, and of the verify suites.
 
-    python3 benchmarks/layers.py                       # print the JSON record
-    python3 benchmarks/layers.py --out BENCH_N.json --label change
-    python3 benchmarks/layers.py --src OTHER/src --out BENCH_N.json --label parent
-    python3 benchmarks/layers.py --parent OTHER/src --out BENCH_N.json --rounds 5
+    python3 benchmarks/layers.py                     # print this tree's record
+    python3 benchmarks/layers.py --src OTHER/src     # print another tree's record
+    python3 benchmarks/layers.py --parent OTHER/src > BENCH_N.json
 
 Times ``oct_mul``, ``coordgame._embed``, ``theorem1_probs_batch``,
 ``landsburg_probs_batch``, ``oracle_probs3_batch`` and
@@ -22,19 +21,18 @@ run whose report must pass.
 Each entry holds the median and the interquartile range of the wall-clock
 seconds per call over its repeats, after one untimed warm-up call, and the
 minor page faults per call (``getrusage``).  The record also names the
-sizes, ``nproc``, the CPU, Python and numpy.  With ``--out`` the record is
-stored under ``--label`` in that JSON file, beside any records already
-there.  The package is imported from ``--src``, ``src/`` of this checkout by
-default.
+sizes, ``nproc``, the CPU, Python and numpy.  The package is imported from
+``--src``, ``src/`` of this checkout by default, and the record is printed.
 
 With ``--parent`` the script instead measures two trees, the parent at that
-``src`` and the change at ``--src``, in ``--rounds`` rounds.  Each round runs
-one fresh process per tree, and the tree that goes first alternates, so both
-see the same drift of the host.  The file gets a ``parent`` and a
-``change`` record, whose entries hold the median and interquartile range
-over rounds of each round's median, and a ``paired`` map from each entry to
-the median of its per-round change/parent ratios and the number of rounds
-in which the change was faster.
+``src`` and the change at ``--src``, in ROUNDS rounds.  Each round runs one
+fresh process per tree, and the tree that goes first alternates, so both
+see the same drift of the host.  It prints a ``parent`` and a ``change``
+record, whose entries hold the median and interquartile range over rounds
+of each round's median, and a ``paired`` map from each entry to the median
+of its per-round change/parent ratios and the number of rounds in which the
+change was faster.  Giving the same tree at two paths measures the bias of
+the harness itself.
 """
 
 import argparse
@@ -59,6 +57,7 @@ SUITE_REPEATS = 9
 INDIFFERENCE_SAMPLES = 1000
 INDIFFERENCE_REPEATS = 21
 SCALAR_REPEATS = 501
+ROUNDS = 28
 SEED = 3
 TOL = 1e-10
 
@@ -253,10 +252,10 @@ def run_tree(src):
     return json.loads(done.stdout)
 
 
-def paired(parent_src, change_src, rounds):
+def paired(parent_src, change_src):
     """Parent and change records from alternating rounds, and their pairs."""
     runs = {"parent": [], "change": []}
-    for k in range(rounds):
+    for k in range(ROUNDS):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
             src = parent_src if side == "parent" else change_src
@@ -271,7 +270,7 @@ def paired(parent_src, change_src, rounds):
         pairs["/".join(path)] = {
             "change_over_parent": float(np.median(ratios)),
             "change_faster_rounds": sum(r < 1.0 for r in ratios),
-            "rounds": rounds,
+            "rounds": ROUNDS,
         }
     return {
         "parent": over_rounds(runs["parent"]),
@@ -283,27 +282,14 @@ def paired(parent_src, change_src, rounds):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"))
-    parser.add_argument("--out")
-    parser.add_argument("--label", default="change")
     parser.add_argument("--parent", help="src of the parent tree: measure both")
-    parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args(argv)
-    if args.parent is not None:
-        if args.rounds < 1:
-            parser.error("--rounds must be at least 1")
-        records = paired(args.parent, args.src, args.rounds)
-    else:
+    if args.parent is None:
         sys.path.insert(0, os.path.abspath(args.src))
-        records = {args.label: measure()}
-    if args.out is None:
-        print(json.dumps(records if args.parent else records[args.label], indent=2))
-        return 0
-    if args.parent is None and os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            records = {**json.load(fh), **records}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
+        records = measure()
+    else:
+        records = paired(args.parent, args.src)
+    print(json.dumps(records, indent=2))
     return 0
 
 

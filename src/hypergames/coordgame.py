@@ -175,8 +175,8 @@ def _theorem1_kernel(s, t, u):
     their halves on one axis.
 
     Both routes write into the same buffers, made once per call: the first
-    product's rows, the halves, the probabilities and the scratch rows.
-    The halves are squared in place.
+    product's rows, the halves, the probabilities and one term row.  The
+    halves are squared in place.
     """
     s, t, u = coordinate_first(s, t, u)
     inner = np.broadcast_shapes(s.shape[1:], t.shape[1:])
@@ -184,12 +184,12 @@ def _theorem1_kernel(s, t, u):
     first = np.empty((8,) + inner)
     halves = np.empty((4, 2) + shape)
     probs = np.empty((8,) + shape)
-    scratch = np.empty((2,) + shape)
+    term = np.empty(shape)
     # s t broadcasts without u, so its batch shape can be smaller.
-    first_scratch = scratch[(slice(None),) + tuple(map(slice, inner))]
+    first_term = term[tuple(map(slice, inner)) + (...,)]
     for first_rows, second_rows, columns in _ROUTES:
-        gather_mul(s, t, first_rows, first, first_scratch)
-        gather_mul(first, u, second_rows, halves, scratch)
+        gather_mul(s, t, first_rows, first, first_term)
+        gather_mul(first, u, second_rows, halves, term)
         np.square(halves, out=halves)
         for k, column in enumerate(columns):
             np.add(halves[k, 0], halves[k, 1], out=probs[column, ...])

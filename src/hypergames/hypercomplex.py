@@ -90,14 +90,10 @@ def compile_rows(table):
     rows), one row per lead index in C order, each (index, i, j, negate,
     later): index selects the row of a coordinate-first output of any batch
     shape, a[i] b[j] is the first term and negate whether it enters
-    negated, and later lists the other terms as (i, j, fold) with fold
-    np.add or np.subtract.  Everything is Python ints, index tuples and
-    ufuncs, compiled once, so gather_mul does no work on the table.
-
-    The terms keep the table's order, except that a row opening with a
-    negative term and then a positive one opens with the positive one.
-    IEEE addition commutes exactly, so -x + y and y - x agree to the bit,
-    and such a row needs no negation.
+    negated, and later lists the other terms, in the table's order, as
+    (i, j, fold) with fold np.add or np.subtract.  Everything is Python
+    ints, index tuples and ufuncs, compiled once, so gather_mul does no work
+    on the table.
     """
     i, j, sign = (np.asarray(part) for part in table)
     rows = []
@@ -107,8 +103,6 @@ def compile_rows(table):
             ((a, ...), (b, ...), s < 0)
             for a, b, s in zip(i[col].tolist(), j[col].tolist(), sign[col].tolist())
         ]
-        if len(terms) > 1 and terms[0][2] and not terms[1][2]:
-            terms[:2] = terms[1::-1]
         (a, b, negate), later = terms[0], terms[1:]
         folds = tuple((c, d, np.subtract if neg else np.add) for c, d, neg in later)
         rows.append((lead + (...,), a, b, negate, folds))
@@ -134,7 +128,7 @@ def coordinate_last(c):
     return c.transpose(tuple(range(1, c.ndim)) + (0,))
 
 
-def gather_mul(a, b, table, out=None, scratch=None):
+def gather_mul(a, b, table, out=None, term=None):
     """Product of coordinate-first operands over a compiled gather table.
 
     a[i] and b[j] are the coefficient arrays of basis elements i and j, of
@@ -143,31 +137,25 @@ def gather_mul(a, b, table, out=None, scratch=None):
     has shape lead + the broadcast batch shape.
 
     Each output row is formed in place, with no temporaries: the first term
-    is multiplied into a spare row (negated if its sign is -1), each later
-    term into a term row, and np.add or np.subtract folds the term into the
-    output row.  Only the first fold reads the spare row, so that fold does
-    not write over its own input, which numpy runs about twice as slowly
-    on one-element rows.  out, and scratch of shape (2,) + the batch shape
-    for the spare and term rows, may be passed in to reuse them.  Terms are
-    added one at a time in table order, so every element is rounded the
-    same way whatever the batch shape.
+    is multiplied straight into the row (and negated if its sign is -1),
+    each later term into one term row, and np.add or np.subtract folds it
+    into the output row.  out, and term of the batch shape, may be passed
+    in to reuse them.  Terms are added one at a time in table order, so
+    every element is rounded the same way whatever the batch shape.
     """
     lead, rows = table
     if out is None:
         out = np.empty(lead + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
-    if scratch is None:
-        scratch = np.empty((2,) + out.shape[len(lead):])
-    spare, term = scratch[0, ...], scratch[1, ...]
+    if term is None:
+        term = np.empty(out.shape[len(lead):])
     for index, i, j, negate, later in rows:
         row = out[index]
-        total = spare if later else row
-        np.multiply(a[i], b[j], total)
+        np.multiply(a[i], b[j], row)
         if negate:
-            np.negative(total, total)
+            np.negative(row, row)
         for i, j, fold in later:
             np.multiply(a[i], b[j], term)
-            fold(total, term, row)
-            total = row
+            fold(row, term, row)
     return out
 
 
