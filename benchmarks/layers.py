@@ -16,7 +16,9 @@ INDIFFERENCE_SAMPLES samples, the (samples, 1) x 16 broadcast of the closed
 form, and ``theorem1_distribution``, ``oracle_distribution3`` and
 ``landsburg_probs`` at a batch of one.  Each ``verify`` suite is timed
 through ``run_suite`` at its default sample count and seed SEED, after one
-run whose report must pass.
+run whose report must pass.  The CLI cold start is a fresh interpreter
+running ``python -m hypergames.cli verify --suite corollary``, which must
+exit 0; its faults are those of the child processes.
 
 Each entry holds the median and the interquartile range of the wall-clock
 seconds per call over its repeats, after one untimed warm-up call, and the
@@ -57,6 +59,8 @@ SUITE_REPEATS = 9
 INDIFFERENCE_SAMPLES = 1000
 INDIFFERENCE_REPEATS = 21
 SCALAR_REPEATS = 501
+COLD_START_REPEATS = 9
+COLD_START_ARGV = ("verify", "--suite", "corollary")
 ROUNDS = 28
 SEED = 3
 TOL = 1e-10
@@ -83,15 +87,15 @@ def haar_profiles(rng, n):
     return pairs
 
 
-def seconds_per_call(fn, args, repeats):
+def seconds_per_call(fn, args, repeats, who=resource.RUSAGE_SELF):
     fn(*args)
     times = []
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    faults = resource.getrusage(who).ru_minflt
     for _ in range(repeats):
         start = time.perf_counter()
         fn(*args)
         times.append(time.perf_counter() - start)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    faults = resource.getrusage(who).ru_minflt - faults
     q25, q50, q75 = np.percentile(times, [25, 50, 75])
     return {
         "median_s": float(q50),
@@ -101,7 +105,15 @@ def seconds_per_call(fn, args, repeats):
     }
 
 
-def measure():
+def cli_cold_start(src):
+    """One fresh interpreter running the CLI on COLD_START_ARGV from src."""
+    subprocess.run(
+        [sys.executable, "-m", "hypergames.cli", *COLD_START_ARGV],
+        check=True, stdout=subprocess.DEVNULL, cwd=src, env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+def measure(src):
     from hypergames.coordgame import (
         _embed,
         embed3,
@@ -181,6 +193,8 @@ def measure():
             "landsburg_probs": seconds_per_call(landsburg_probs, one[:4], SCALAR_REPEATS),
         },
         "verify_suites": verify_suites(),
+        "cli_cold_start": seconds_per_call(
+            cli_cold_start, (src,), COLD_START_REPEATS, resource.RUSAGE_CHILDREN),
         "seed": SEED,
         "env": {
             "nproc": len(os.sched_getaffinity(0)),
@@ -285,8 +299,9 @@ def main(argv=None):
     parser.add_argument("--parent", help="src of the parent tree: measure both")
     args = parser.parse_args(argv)
     if args.parent is None:
-        sys.path.insert(0, os.path.abspath(args.src))
-        records = measure()
+        src = os.path.abspath(args.src)
+        sys.path.insert(0, src)
+        records = measure(src)
     else:
         records = paired(args.parent, args.src)
     print(json.dumps(records, indent=2))

@@ -516,9 +516,15 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        text = json.dumps(report, indent=2, sort_keys=True)
     else:
-        print("\n".join(render_text(report)))
+        text = "\n".join(render_text(report))
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader left, as in `hypergames verify | head -1`; with stdout on
+        # devnull the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if all_passed(report) else 1
 
 

@@ -269,6 +269,14 @@ def corollary_distribution(s, t, u):
     return OutcomeDistribution(ACTION_LABELS3, BASIS_OUTCOMES[slots])
 
 
+# The strategy of each basis slot (PLAYER_BASIS order), the same for every
+# player; built once, as the corollary suite and indifference_check ask for
+# these gates on every call.
+_SLOT_GATES = tuple(
+    SU2Gate(x, y) for x, y in ((1.0, 0.0), (1j, 0.0), (0.0, SQRT3 / 2.0 - 0.5j), (0.0, ETA3))
+)
+
+
 def su2_of_basis(o, player):
     """The SU(2) strategy whose embed3 image is the given basis element.
 
@@ -276,15 +284,7 @@ def su2_of_basis(o, player):
     the player's subalgebra; used to drive the simulation oracle on basis
     strategies.
     """
-    k = basis_index(o, player)
-    shared, mid, _ = SUBALGEBRA_UNITS[player]
-    if k == 0:
-        return SU2Gate(1.0, 0.0)
-    if k == shared:
-        return SU2Gate(1j, 0.0)
-    if k == mid:
-        return SU2Gate(0.0, SQRT3 / 2.0 - 0.5j)
-    return SU2Gate(0.0, ETA3)
+    return _SLOT_GATES[basis_slot(player, basis_index(o, player))]
 
 
 def landsburg_probs_batch(A, B, P, Q):

@@ -38,6 +38,11 @@ from .hypercomplex import Octonion
 from .qstate import ACTION_LABELS3, SQRT3, outcome_labels
 from .verify import check_record
 
+# Largest payoff magnitude a game file may hold.  Below it a sum of 16
+# payoffs (indifference_check averages over 16 basis pairs), and the
+# difference of two averages, stay finite.
+MAX_PAYOFF = np.finfo(float).max / 64
+
 BUILTIN_GAME_NAMES = ("poker_printed", "poker_zero_sum_corrected", "dilemma_printed")
 
 
@@ -158,9 +163,10 @@ def parse_game_file(doc):
             row = tuple(float(x) for x in row)
         except (TypeError, ValueError):
             raise ValueError("payoffs for %s must be an array of reals" % label)
-        if len(row) != players or not all(np.isfinite(row)):
+        if len(row) != players or not all(abs(x) <= MAX_PAYOFF for x in row):
             raise ValueError(
-                "payoffs for %s must be %d finite reals" % (label, players)
+                "payoffs for %s must be %d finite reals of magnitude at most %g"
+                % (label, players, MAX_PAYOFF)
             )
         table[label] = row
     zero_sum = doc.get("zero_sum")

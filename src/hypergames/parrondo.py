@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import ETA3, SU2Gate, batch_of_one
+from .qstate import ETA3, SU2Gate, batch_of_one, su2_matrices
 
 TYPE1 = "type1"
 TYPE2 = "type2"
@@ -218,19 +218,6 @@ def _check_embedding(e):
     return e.kind, eta
 
 
-def su2_blocks(x, y):
-    """SU(2) blocks [[x, y], [-conj(y), conj(x)]] of amplitude arrays.
-
-    Broadcasts x and y against each other and returns shape (..., 2, 2).
-    """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
-    if np.any(np.abs(np.abs(x) ** 2 + np.abs(y) ** 2 - 1.0) > 1e-9):
-        raise ValueError("SU2Gate needs |x|^2 + |y|^2 = 1")
-    top = np.stack([x, y], axis=-1)
-    bottom = np.stack([-np.conj(y), np.conj(x)], axis=-1)
-    return np.stack([top, bottom], axis=-2)
-
-
 def coin_blocks(p, e):
     """Multiplexer blocks embedding (..., 4) coins, shape (..., 4, 2, 2).
 
@@ -244,8 +231,8 @@ def coin_blocks(p, e):
     keep = np.sqrt(gains)
     flip = np.sqrt(1.0 - gains)
     if kind == TYPE1:
-        return su2_blocks(keep, -flip * phase)
-    return su2_blocks(1j * keep, 1j * flip * phase)
+        return su2_matrices(keep, -flip * phase)
+    return su2_matrices(1j * keep, 1j * flip * phase)
 
 
 def _superpose(gamma1, gamma2, blocks1, blocks2):
@@ -292,7 +279,7 @@ def _dense(blocks):
 
 
 def _gate_array(gates):
-    return su2_blocks([g.x for g in gates], [g.y for g in gates])
+    return su2_matrices([g.x for g in gates], [g.y for g in gates])
 
 
 class Multiplexer3:

@@ -1,15 +1,16 @@
 """Dense complex state-vector engine for 2- and 3-qubit quantized games.
 
-This module is the brute-force reference implementation that the
-coordinatized formulas elsewhere in the package are checked against. States
-are plain complex numpy arrays indexed in computational order with player 1
-on the most significant qubit. Closed-form game states are vectorized over
-stacked strategy inputs, so verification sweeps avoid Python loops.
+This module is the reference that the coordinatized formulas elsewhere in
+the package are checked against.  The oracle applies each player's gate to
+the entangled start and measures in the outcome basis, whose vectors are
+each outcome label's gates applied the same way.  States are complex numpy
+arrays in computational order, player 1 on the most significant qubit,
+vectorized over stacked strategy inputs.
 
 Normalization convention: probability outputs always divide by the squared
 norm of the vector being measured, so constant factors dropped by the
 closed forms (the three-player game state is built from the unnormalized
-entangled sum, and the action-basis matrix for three players has columns of
+entangled start, and the action-basis matrix for three players has columns of
 norm sqrt(2)) never affect any reported probability.
 """
 
@@ -50,23 +51,68 @@ def eta(n_players):
     raise ValueError("only 2- and 3-player games are supported")
 
 
-class SU2Gate:
-    """Special-unitary 2x2 gate [[x, y], [-conj(y), conj(x)]]."""
+def check_unit_pairs(*pairs, atol=1e-9):
+    """Require |A|^2 + |B|^2 = 1 within an absolute atol for every pair."""
+    for a, b in pairs:
+        norms = np.abs(np.asarray(a)) ** 2 + np.abs(np.asarray(b)) ** 2
+        if (np.abs(norms - 1.0) > atol).any():
+            raise ValueError("strategy pair must satisfy |A|^2 + |B|^2 = 1")
 
-    __slots__ = ("x", "y")
+
+def su2_matrices(x, y, atol=1e-9):
+    """SU(2) matrices [[x, y], [-conj(y), conj(x)]] of amplitude arrays.
+
+    x and y broadcast against each other; returns shape (..., 2, 2).  Every
+    (x, y) pair must pass check_unit_pairs.
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    check_unit_pairs((x, y), atol=atol)
+    m = np.empty(np.broadcast(x, y).shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = x
+    m[..., 0, 1] = y
+    m[..., 1, 0] = -np.conj(y)
+    m[..., 1, 1] = np.conj(x)
+    return m
+
+
+def entangled_state(*gates):
+    """Each player's SU(2) gate applied to the entangled start |0..0> + |1..1>.
+
+    gates holds one amplitude pair (x, y) per player, the gate
+    U = [[x, y], [-conj(y), conj(x)]], as scalars or broadcastable arrays.
+    Returns the unnormalized state, shape (..., 2**n), with player 1 on the
+    most significant qubit.  Entry (r_1..r_n) is prod_k U_k[r_k, 1] +
+    prod_k U_k[r_k, 0]; the second product reads conj(y) for U[1, 0] and is
+    subtracted when an odd number of the r_k are 1.
+    """
+    # Per player, for row r: (U[r, 0] up to its sign, U[r, 1]).
+    rows = []
+    for x, y in gates:
+        x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+        rows.append(((x, y), (np.conj(y), np.conj(x))))
+    # One entry at a time: sharing partial products across entries ran slower.
+    entries = []
+    for bits in itertools.product((0, 1), repeat=len(rows)):
+        picked = [row[r] for row, r in zip(rows, bits)]
+        col0, col1 = picked[0]
+        for a0, a1 in picked[1:]:
+            col0 = col0 * a0
+            col1 = col1 * a1
+        entries.append(col1 - col0 if sum(bits) % 2 else col1 + col0)
+    return np.stack(entries, axis=-1)
+
+
+class SU2Gate:
+    """Special-unitary 2x2 gate [[x, y], [-conj(y), conj(x)]]; `matrix` is
+    that read-only array, built by su2_matrices."""
+
+    __slots__ = ("x", "y", "matrix")
 
     def __init__(self, x, y, atol=1e-9):
-        x, y = complex(x), complex(y)
-        if abs(abs(x) ** 2 + abs(y) ** 2 - 1.0) > atol:
-            raise ValueError("SU2Gate needs |x|^2 + |y|^2 = 1")
-        self.x = x
-        self.y = y
-
-    @property
-    def matrix(self):
-        return np.array(
-            [[self.x, self.y], [-np.conj(self.y), np.conj(self.x)]], dtype=complex
-        )
+        self.x, self.y = complex(x), complex(y)
+        self.matrix = su2_matrices(self.x, self.y, atol)
+        self.matrix.setflags(write=False)
 
     @classmethod
     def random(cls, rng):
@@ -113,38 +159,23 @@ def local_action(gates, state):
     return op @ state
 
 
-def check_unit_pairs(*pairs, atol=1e-9):
-    """Require |A|^2 + |B|^2 = 1 within an absolute atol for every pair."""
-    for a, b in pairs:
-        norms = np.abs(np.asarray(a)) ** 2 + np.abs(np.asarray(b)) ** 2
-        if np.max(np.abs(norms - 1.0)) > atol:
-            raise ValueError("strategy pair must satisfy |A|^2 + |B|^2 = 1")
-
-
 def game_state3(A, B, P, Q, E, F):
-    """Closed-form three-player game state, unnormalized.
+    """Three-player game state, unnormalized, shape (..., 8).
 
-    Accepts scalars or broadcastable arrays for the six strategy amplitudes
-    (players hold the pairs (A,B), (P,Q), (E,F)); returns shape (..., 8) in
-    computational order. Identical to local_action of the three strategy
-    gates on ghz3(), which the tests verify independently.
+    The players' gates (A, B), (P, Q), (E, F), scalars or broadcastable
+    arrays, applied to the entangled start |000> + |111>.
     """
     check_unit_pairs((A, B), (P, Q), (E, F))
-    A, B, P, Q, E, F = np.broadcast_arrays(
-        *(np.asarray(v, dtype=complex) for v in (A, B, P, Q, E, F))
-    )
-    Ac, Bc, Pc, Qc, Ec, Fc = (np.conj(v) for v in (A, B, P, Q, E, F))
-    comps = [
-        A * P * E + B * Q * F,
-        B * Q * Ec - A * P * Fc,
-        B * Pc * F - A * Qc * E,
-        A * Qc * Fc + B * Pc * Ec,
-        Ac * Q * F - Bc * P * E,
-        Bc * P * Fc + Ac * Q * Ec,
-        Bc * Qc * E + Ac * Pc * F,
-        Ac * Pc * Ec - Bc * Qc * Fc,
-    ]
-    return np.stack(comps, axis=-1)
+    return entangled_state((A, B), (P, Q), (E, F))
+
+
+def _label_states(players, eta_value):
+    """Each outcome label's gates applied to the entangled start, one column
+    per label in outcome_labels order: N is SU2Gate(1, 0), F is
+    flip_gate(eta_value)."""
+    gate = {"N": SU2Gate(1, 0), "F": flip_gate(eta_value)}
+    per_player = zip(*([gate[letter] for letter in label] for label in outcome_labels(players)))
+    return entangled_state(*(([g.x for g in gs], [g.y for g in gs]) for gs in per_player)).T
 
 
 def basis_matrix3(eta_value=ETA3):
@@ -153,19 +184,7 @@ def basis_matrix3(eta_value=ETA3):
     Columns follow ACTION_LABELS3. Each column has norm sqrt(2), matching the
     unnormalized entangled start, so M @ conj(M).T = 2*I at orthogonality.
     """
-    e = complex(eta_value)
-    ec = np.conj(e)
-    cols = {
-        "NNN": [1, 0, 0, 0, 0, 0, 0, 1],
-        "NNF": [0, -ec, 0, 0, 0, 0, e, 0],
-        "NFN": [0, 0, -ec, 0, 0, e, 0, 0],
-        "NFF": [0, 0, 0, ec**2, e**2, 0, 0, 0],
-        "FNN": [0, 0, 0, e, -ec, 0, 0, 0],
-        "FNF": [0, 0, e**2, 0, 0, ec**2, 0, 0],
-        "FFN": [0, e**2, 0, 0, 0, 0, ec**2, 0],
-        "FFF": [e**3, 0, 0, 0, 0, 0, 0, -(ec**3)],
-    }
-    return np.array([cols[lbl] for lbl in ACTION_LABELS3], dtype=complex).T
+    return _label_states(3, eta_value)
 
 
 def action_basis3(eta_value=ETA3):
@@ -196,9 +215,8 @@ def to_action_basis3(v, eta_value=ETA3):
 
     Handles a single 8-vector or a stack of rows shaped (..., 8).
     """
-    if eta_value == ETA3:
-        return _in_action_basis(v, _BASIS3_CONJ)
-    return _in_action_basis(v, np.conj(basis_matrix3(eta_value)))
+    m = _BASIS3_CONJ if eta_value == ETA3 else np.conj(basis_matrix3(eta_value))
+    return _in_action_basis(v, m)
 
 
 def from_action_basis3(w, eta_value=ETA3):
@@ -207,33 +225,15 @@ def from_action_basis3(w, eta_value=ETA3):
 
 
 def game_state2(A, B, P, Q):
-    """Closed-form two-player game state, normalized, order (00, 01, 10, 11)."""
+    """Two-player game state, normalized, order (00, 01, 10, 11): the gates
+    (A, B) and (P, Q) applied to (|00> + |11>)/sqrt(2)."""
     check_unit_pairs((A, B), (P, Q))
-    A, B, P, Q = np.broadcast_arrays(
-        *(np.asarray(v, dtype=complex) for v in (A, B, P, Q))
-    )
-    Ac, Bc, Pc, Qc = (np.conj(v) for v in (A, B, P, Q))
-    comps = [
-        A * P + B * Q,
-        -A * Qc + B * Pc,
-        -Bc * P + Ac * Q,
-        Bc * Qc + Ac * Pc,
-    ]
-    return np.stack(comps, axis=-1) / np.sqrt(2.0)
+    return entangled_state((A, B), (P, Q)) / np.sqrt(2.0)
 
 
 def basis_matrix2(eta_value=ETA2):
     """Two-player action-basis matrix; columns follow ACTION_LABELS2, unitary."""
-    e = complex(eta_value)
-    ec = np.conj(e)
-    cols = {
-        "NN": [1, 0, 0, 1],
-        "NF": [0, -ec, e, 0],
-        "FN": [0, e, -ec, 0],
-        "FF": [e**2, 0, 0, ec**2],
-    }
-    m = np.array([cols[lbl] for lbl in ACTION_LABELS2], dtype=complex).T
-    return m / np.sqrt(2.0)
+    return _label_states(2, eta_value) / np.sqrt(2.0)
 
 
 def action_basis2(eta_value=ETA2):
@@ -246,9 +246,8 @@ _BASIS2_CONJ.setflags(write=False)
 
 
 def to_action_basis2(v, eta_value=ETA2):
-    if eta_value == ETA2:
-        return _in_action_basis(v, _BASIS2_CONJ)
-    return _in_action_basis(v, np.conj(basis_matrix2(eta_value)))
+    m = _BASIS2_CONJ if eta_value == ETA2 else np.conj(basis_matrix2(eta_value))
+    return _in_action_basis(v, m)
 
 
 class OutcomeDistribution:

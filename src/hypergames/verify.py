@@ -29,10 +29,9 @@ from .parrondo import (
     parrondo_effect_check,
     proper_quantized_gains_batch,
     sequence_quantized_gains_batch,
-    su2_blocks,
     superposed_games_blocks,
 )
-from .qstate import oracle_probs2_batch, oracle_probs3_batch
+from .qstate import oracle_probs2_batch, oracle_probs3_batch, su2_matrices
 
 DEFAULT_SAMPLES = {
     "theorem1": 10_000,
@@ -197,7 +196,7 @@ def verify_parrondo(samples=None, seed=0, tol=1e-12):
 
     x, y = (v.reshape(samples, 7) for v in _random_pairs(rng, 7 * samples))
     qubits = (np.stack([x[:, k], y[:, k]], axis=-1) for k in (4, 5, 6))
-    closed, direct = fna_p_win_pair_batch(su2_blocks(x[:, :4], y[:, :4]), *qubits)
+    closed, direct = fna_p_win_pair_batch(su2_matrices(x[:, :4], y[:, :4]), *qubits)
     dev_fna = np.max(np.abs(closed - direct))
     checks.append(check_record("product-state closed form vs simulation", samples, tol, dev_fna))
 

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import hypergames
 from hypergames import verify
 from hypergames.cli import InputError, main, parse_strategy
+from hypergames.qstate import ACTION_LABELS3
 
 IDENTITY = "1,0,0,0"
 FLIP = "0,0,1,0"
@@ -216,6 +218,16 @@ class TestEquilibriumCommand:
         code, _, err = run_cli(capsys, "equilibrium", str(path))
         assert code == 2
         assert "bad game file" in err
+        # A payoff whose sums would overflow is bad input, not an inf deviation.
+        payoffs = {label: [0.0, 0.0, 0.0] for label in ACTION_LABELS3}
+        payoffs["FNF"] = [0.0, 1e308, 0.0]
+        path.write_text(json.dumps({"players": 3, "payoffs": payoffs}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "equilibrium", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad game file") and "FNF" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestVerifyCommand:
@@ -453,13 +465,17 @@ def test_exit_contract_holds_for_any_input(argv):
         assert out.getvalue() == "" and err.getvalue() != ""
 
 
+def package_env():
+    """The environment of a new interpreter importing this package."""
+    src = str(pathlib.Path(hypergames.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=src)
+
+
 def fresh_process_run(argv):
     """main(argv) in a new interpreter: exit code, stdout and stderr."""
-    src = str(pathlib.Path(hypergames.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
     code = "import sys; from hypergames.cli import main; sys.exit(main(sys.argv[1:]))"
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=package_env()
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -476,6 +492,23 @@ def test_back_to_back_calls_match_fresh_processes(capsys):
     ]
     in_process = [run_cli(capsys, *argv) for argv in calls]
     assert in_process == [fresh_process_run(argv) for argv in calls]
+
+
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_reader_closing_the_pipe_is_no_traceback(lines_read):
+    # As in `hypergames verify | head -1`.  Reading no line closes the pipe
+    # before the report is written, so the write always finds it closed.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hypergames.cli", "verify", "--suite", "corollary"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env(),
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline().startswith(b"corollary: ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err and err == ""
 
 
 def test_capital_command_solves_the_chain_once(capsys, monkeypatch):

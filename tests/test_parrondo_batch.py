@@ -28,11 +28,10 @@ from hypergames.parrondo import (
     second_quantization_mux,
     sequence_quantized_gains,
     sequence_quantized_gains_batch,
-    su2_blocks,
     superposed_games_blocks,
     superposed_games_mux,
 )
-from hypergames.qstate import SU2Gate
+from hypergames.qstate import SU2Gate, su2_matrices
 
 N = 64
 
@@ -51,7 +50,7 @@ def batch():
     gx, gy = unit_pairs(rng, (N, 4))
     qx, qy = unit_pairs(rng, (N, 3))
     qubits = [np.stack([qx[:, k], qy[:, k]], axis=-1) for k in range(3)]
-    return coins, r, pa, pb, su2_blocks(gx, gy), qubits
+    return coins, r, pa, pb, su2_matrices(gx, gy), qubits
 
 
 def gates_of(blocks):

@@ -26,6 +26,7 @@ from hypergames.qstate import (
     oracle_distribution2,
     oracle_distribution3,
     penny_evolution,
+    su2_matrices,
     to_action_basis2,
     to_action_basis3,
 )
@@ -85,6 +86,19 @@ class TestSU2Gate:
         m = g.matrix
         assert m[0, 0] == g.x and m[0, 1] == g.y
         assert m[1, 0] == -np.conj(g.y) and m[1, 1] == np.conj(g.x)
+        # su2_matrices builds the same layout for a scalar pair and
+        # broadcasts (n,) and (n, 4) pairs, as the Parrondo blocks use.
+        assert np.array_equal(su2_matrices(g.x, g.y), m)
+        rng = np.random.default_rng(3)
+        for shape in ((5,), (5, 4)):
+            x, y = random_su2_amplitudes(rng, int(np.prod(shape)))
+            x, y = x.reshape(shape), y.reshape(shape)
+            stacked = su2_matrices(x, y)
+            assert stacked.shape == shape + (2, 2)
+            for index in np.ndindex(*shape):
+                assert np.array_equal(stacked[index], SU2Gate(x[index], y[index]).matrix)
+        flips = su2_matrices(0.0, np.exp(1j * np.arange(20.0).reshape(5, 4)))
+        assert flips.shape == (5, 4, 2, 2) and not flips[..., 0, 0].any()
 
     def test_random_gates_are_unitary(self):
         rng = np.random.default_rng(5)
@@ -95,6 +109,8 @@ class TestSU2Gate:
     def test_rejects_non_unit_pair(self):
         with pytest.raises(ValueError):
             SU2Gate(1.0, 1.0)
+        with pytest.raises(ValueError):
+            su2_matrices([1.0, 0.6], [0.0, 0.6])
 
 
 class TestGameState3:
@@ -143,14 +159,20 @@ class TestGameState3:
 class TestActionBasis3:
     def test_printed_columns(self):
         basis = action_basis3(ETA3)
-        ec = np.conj(ETA3)
-        npt.assert_allclose(basis["NNN"], [1, 0, 0, 0, 0, 0, 0, 1], atol=1e-15)
-        npt.assert_allclose(
-            basis["NNF"], [0, -ec, 0, 0, 0, 0, ETA3, 0], atol=1e-15
-        )
-        npt.assert_allclose(
-            basis["FFF"], [ETA3**3, 0, 0, 0, 0, 0, 0, -(ec**3)], atol=1e-15
-        )
+        e, ec = ETA3, np.conj(ETA3)
+        printed = {
+            "NNN": [1, 0, 0, 0, 0, 0, 0, 1],
+            "NNF": [0, -ec, 0, 0, 0, 0, e, 0],
+            "NFN": [0, 0, -ec, 0, 0, e, 0, 0],
+            "NFF": [0, 0, 0, ec**2, e**2, 0, 0, 0],
+            "FNN": [0, 0, 0, e, -ec, 0, 0, 0],
+            "FNF": [0, 0, e**2, 0, 0, ec**2, 0, 0],
+            "FFN": [0, e**2, 0, 0, 0, 0, ec**2, 0],
+            "FFF": [e**3, 0, 0, 0, 0, 0, 0, -(ec**3)],
+        }
+        assert list(basis) == list(printed)
+        for label, column in printed.items():
+            npt.assert_allclose(basis[label], column, atol=1e-15)
 
     def test_vectors_match_flip_constructions(self):
         basis = action_basis3(ETA3)
@@ -303,6 +325,15 @@ class TestGameState2:
     def test_basis_is_orthonormal(self):
         m = basis_matrix2(ETA2)
         npt.assert_allclose(np.conj(m).T @ m, np.eye(4), atol=1e-12)
+        e, ec = ETA2, np.conj(ETA2)
+        printed = {
+            "NN": [1, 0, 0, 1],
+            "NF": [0, -ec, e, 0],
+            "FN": [0, e, -ec, 0],
+            "FF": [e**2, 0, 0, ec**2],
+        }
+        for k, label in enumerate(ACTION_LABELS2):
+            npt.assert_allclose(m[:, k], np.array(printed[label]) / np.sqrt(2), atol=1e-15)
 
     def test_unentangled_pair_inner_product(self):
         b = basis_matrix2(ETA2)
