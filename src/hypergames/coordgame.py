@@ -269,9 +269,7 @@ def corollary_distribution(s, t, u):
     return OutcomeDistribution(ACTION_LABELS3, BASIS_OUTCOMES[slots])
 
 
-# The strategy of each basis slot (PLAYER_BASIS order), the same for every
-# player; built once, as the corollary suite and indifference_check ask for
-# these gates on every call.
+# The strategy of each basis slot (PLAYER_BASIS order), for every player.
 _SLOT_GATES = tuple(
     SU2Gate(x, y) for x, y in ((1.0, 0.0), (1j, 0.0), (0.0, SQRT3 / 2.0 - 0.5j), (0.0, ETA3))
 )

@@ -52,14 +52,14 @@ def eta(n_players):
 
 
 def check_unit_pairs(*pairs, atol=1e-9):
-    """Require |A|^2 + |B|^2 = 1 within an absolute atol for every pair."""
+    """Require |A|^2 + |B|^2 = 1 within atol for every pair; a NaN fails."""
     for a, b in pairs:
-        norms = np.abs(np.asarray(a)) ** 2 + np.abs(np.asarray(b)) ** 2
-        if (np.abs(norms - 1.0) > atol).any():
+        norms = np.abs(a) ** 2 + np.abs(b) ** 2
+        if not (np.abs(norms - 1.0) <= atol).all():
             raise ValueError("strategy pair must satisfy |A|^2 + |B|^2 = 1")
 
 
-def su2_matrices(x, y, atol=1e-9):
+def su2_matrices(x, y):
     """SU(2) matrices [[x, y], [-conj(y), conj(x)]] of amplitude arrays.
 
     x and y broadcast against each other; returns shape (..., 2, 2).  Every
@@ -67,7 +67,7 @@ def su2_matrices(x, y, atol=1e-9):
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    check_unit_pairs((x, y), atol=atol)
+    check_unit_pairs((x, y))
     m = np.empty(np.broadcast(x, y).shape + (2, 2), dtype=complex)
     m[..., 0, 0] = x
     m[..., 0, 1] = y
@@ -91,28 +91,32 @@ def entangled_state(*gates):
     for x, y in gates:
         x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
         rows.append(((x, y), (np.conj(y), np.conj(x))))
-    # One entry at a time: sharing partial products across entries ran slower.
-    entries = []
-    for bits in itertools.product((0, 1), repeat=len(rows)):
+    shape = np.broadcast(*(a for row in rows for a in row[0])).shape
+    out = np.empty(shape + (2 ** len(rows),), dtype=complex)
+    # One entry at a time, each summed straight into its slot: sharing
+    # partial products across entries, or stacking the entries, ran slower.
+    for k, bits in enumerate(itertools.product((0, 1), repeat=len(rows))):
         picked = [row[r] for row, r in zip(rows, bits)]
         col0, col1 = picked[0]
         for a0, a1 in picked[1:]:
             col0 = col0 * a0
             col1 = col1 * a1
-        entries.append(col1 - col0 if sum(bits) % 2 else col1 + col0)
-    return np.stack(entries, axis=-1)
+        (np.subtract if sum(bits) % 2 else np.add)(col1, col0, out=out[..., k])
+    return out
 
 
 class SU2Gate:
-    """Special-unitary 2x2 gate [[x, y], [-conj(y), conj(x)]]; `matrix` is
-    that read-only array, built by su2_matrices."""
+    """Special-unitary 2x2 gate [[x, y], [-conj(y), conj(x)]]."""
 
-    __slots__ = ("x", "y", "matrix")
+    __slots__ = ("x", "y")
 
-    def __init__(self, x, y, atol=1e-9):
+    def __init__(self, x, y):
         self.x, self.y = complex(x), complex(y)
-        self.matrix = su2_matrices(self.x, self.y, atol)
-        self.matrix.setflags(write=False)
+        check_unit_pairs((self.x, self.y))
+
+    @property
+    def matrix(self):
+        return su2_matrices(self.x, self.y)
 
     @classmethod
     def random(cls, rng):

@@ -111,6 +111,8 @@ class TestSU2Gate:
             SU2Gate(1.0, 1.0)
         with pytest.raises(ValueError):
             su2_matrices([1.0, 0.6], [0.0, 0.6])
+        with pytest.raises(ValueError):
+            game_state3(np.nan, 0, 1, 0, 1, 0)
 
 
 class TestGameState3:
