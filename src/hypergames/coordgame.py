@@ -101,17 +101,23 @@ class OctStrategyFamily:
 
     o00 is the embedded strategy itself.  o10 negates the coefficient of the
     real unit and o01 negates the coefficient of the shared imaginary unit
-    i1.  The closed-form distribution is a polynomial in these variants,
-    which the kernel forms from o00 alone.
+    i1; both are built from o00 on access.  The closed-form distribution is a
+    polynomial in these variants, which the kernel forms from o00 alone.
     """
 
-    __slots__ = ("player", "o00", "o10", "o01")
+    __slots__ = ("player", "o00")
 
-    def __init__(self, player, o00, o10, o01):
+    def __init__(self, player, o00):
         self.player = player
         self.o00 = o00
-        self.o10 = o10
-        self.o01 = o01
+
+    @property
+    def o10(self):
+        return Octonion(_negated(self.o00.c, 0))
+
+    @property
+    def o01(self):
+        return Octonion(_negated(self.o00.c, 1))
 
     def members(self):
         return self.o00, self.o10, self.o01
@@ -156,9 +162,7 @@ def embed3(player, A, B):
     c = _embed(player, A, B)
     if c.ndim != 1:
         raise ValueError("embed3 expects scalar strategy pairs")
-    return OctStrategyFamily(
-        player, Octonion(c), Octonion(_negated(c, 0)), Octonion(_negated(c, 1))
-    )
+    return OctStrategyFamily(player, Octonion(c))
 
 
 def _theorem1_kernel(s, t, u):

@@ -1,20 +1,22 @@
 """Dense complex state-vector engine for 2- and 3-qubit quantized games.
 
-This module is the reference that the coordinatized formulas elsewhere in
-the package are checked against.  The oracle applies each player's gate to
-the entangled start and measures in the outcome basis, whose vectors are
-each outcome label's gates applied the same way.  States are complex numpy
-arrays in computational order, player 1 on the most significant qubit,
-vectorized over stacked strategy inputs.
+The reference that the coordinatized formulas elsewhere in the package are
+checked against; it takes nothing from them.  The oracle applies each
+player's gate to the entangled start and measures in the outcome basis, whose
+vectors are each label's gates applied the same way.  States are complex, in
+computational order with player 1 on the most significant qubit, and built
+coordinate-first: one contiguous row per coordinate over stacked inputs.  An
+N gate fixes a qubit and an F gate flips it, so basis column j is non-zero
+only at rows j and 2**n - 1 - j: the basis change is c*v + d*reverse(v).
 
-Normalization convention: probability outputs always divide by the squared
-norm of the vector being measured, so constant factors dropped by the
-closed forms (the three-player game state is built from the unnormalized
-entangled start, and the action-basis matrix for three players has columns of
-norm sqrt(2)) never affect any reported probability.
+Probabilities always divide by the squared norm of the measured vector, so
+constant factors (the three-player start is unnormalized, and its basis
+columns have norm sqrt(2)) never affect any reported probability.
 """
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -76,33 +78,41 @@ def su2_matrices(x, y):
     return m
 
 
-def entangled_state(*gates):
+def _entangled_rows(*gates):
     """Each player's SU(2) gate applied to the entangled start |0..0> + |1..1>.
 
-    gates holds one amplitude pair (x, y) per player, the gate
+    gates holds one amplitude pair (x, y) per player, two or more, the gate
     U = [[x, y], [-conj(y), conj(x)]], as scalars or broadcastable arrays.
-    Returns the unnormalized state, shape (..., 2**n), with player 1 on the
-    most significant qubit.  Entry (r_1..r_n) is prod_k U_k[r_k, 1] +
-    prod_k U_k[r_k, 0]; the second product reads conj(y) for U[1, 0] and is
-    subtracted when an odd number of the r_k are 1.
+    Returns the unnormalized state coordinate-first, shape (2**n, ...), with
+    player 1 on the most significant qubit.  Entry (r_1..r_n) is
+    prod_k U_k[r_k, 1] + prod_k U_k[r_k, 0]; the second product reads
+    conj(y) for U[1, 0] and is subtracted when an odd number of the r_k are 1.
     """
+    if len(gates) < 2:
+        raise ValueError("the entangled start needs two or more players")
     # Per player, for row r: (U[r, 0] up to its sign, U[r, 1]).
     rows = []
     for x, y in gates:
         x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
         rows.append(((x, y), (np.conj(y), np.conj(x))))
     shape = np.broadcast(*(a for row in rows for a in row[0])).shape
-    out = np.empty(shape + (2 ** len(rows),), dtype=complex)
-    # One entry at a time, each summed straight into its slot: sharing
-    # partial products across entries, or stacking the entries, ran slower.
-    for k, bits in enumerate(itertools.product((0, 1), repeat=len(rows))):
-        picked = [row[r] for row, r in zip(rows, bits)]
-        col0, col1 = picked[0]
-        for a0, a1 in picked[1:]:
-            col0 = col0 * a0
-            col1 = col1 * a1
-        (np.subtract if sum(bits) % 2 else np.add)(col1, col0, out=out[..., k])
+    out = np.empty((2 ** len(rows),) + shape, dtype=complex)
+    # (count of 1s, both products) over all players but the last, each
+    # shared by the two entries that extend it; factors go in player order.
+    heads = list(enumerate(rows[0]))
+    for row in rows[1:-1]:
+        heads = [(ones + r, (h0 * a0, h1 * a1))
+                 for ones, (h0, h1) in heads for r, (a0, a1) in enumerate(row)]
+    entries = ((ones + r, h0 * a0, h1 * a1)
+               for ones, (h0, h1) in heads for r, (a0, a1) in enumerate(rows[-1]))
+    for k, (ones, col0, col1) in enumerate(entries):
+        (np.subtract if ones % 2 else np.add)(col1, col0, out=out[k, ...])
     return out
+
+
+def entangled_state(*gates):
+    """The state of _entangled_rows, coordinate-last: shape (..., 2**n)."""
+    return np.moveaxis(_entangled_rows(*gates), 0, -1)
 
 
 class SU2Gate:
@@ -179,7 +189,7 @@ def _label_states(players, eta_value):
     flip_gate(eta_value)."""
     gate = {"N": SU2Gate(1, 0), "F": flip_gate(eta_value)}
     per_player = zip(*([gate[letter] for letter in label] for label in outcome_labels(players)))
-    return entangled_state(*(([g.x for g in gs], [g.y for g in gs]) for gs in per_player)).T
+    return _entangled_rows(*(([g.x for g in gs], [g.y for g in gs]) for gs in per_player))
 
 
 def basis_matrix3(eta_value=ETA3):
@@ -197,35 +207,45 @@ def action_basis3(eta_value=ETA3):
     return {lbl: m[:, k].copy() for k, lbl in enumerate(ACTION_LABELS3)}
 
 
-def _in_action_basis(v, m_conj):
-    """Rows of v expressed in the action basis whose columns are conj(m_conj).
+@functools.lru_cache(maxsize=16)
+def _basis_change(players, eta_value):
+    """(c, d), each (2**n, 1), read off the literally built basis matrix M:
+    column j is conj(c_j) at row j and conj(d_j) at row 2**n - 1 - j, so
+    conj(M).T @ v = c*v + d*v[::-1].  Raises if M has any other non-zero."""
+    m = basis_matrix3(eta_value) if players == 3 else basis_matrix2(eta_value)
+    j = np.arange(len(m))
+    rest = m.copy()
+    rest[j, j] = rest[j[::-1], j] = 0.0
+    if rest.any():
+        raise ValueError("basis column j must vanish off rows j and 2**n - 1 - j")
+    cd = np.conj([m[j, j], m[j[::-1], j]])[..., np.newaxis]
+    cd.setflags(write=False)  # shared by every caller through the cache
+    return cd
 
-    Applies the conjugate transpose of that basis matrix to each row.
-    einsum rather than matmul: its per-row sum order does not depend on the
-    batch size, so a batch of one reproduces the matching row of any batch
-    bit for bit.
-    """
-    return np.einsum("...i,ij->...j", np.asarray(v, dtype=complex), m_conj)
+
+def _two_term(v, c, d):
+    """c*v + d*v[::-1] along the leading (coordinate) axis of v."""
+    w = c * v
+    w += d * v[::-1]
+    return w
 
 
-# Conjugated basis matrices at the default phase, built once rather than on
-# every oracle call.
-_BASIS3_CONJ = np.conj(basis_matrix3())
-_BASIS3_CONJ.setflags(write=False)
+def _on_last_axis(v, c, d):
+    """_two_term over the last axis of v, shape (..., 2**n)."""
+    v = np.asarray(v, dtype=complex)
+    return _two_term(v.reshape(-1, v.shape[-1]).T, c, d).T.reshape(v.shape)
 
 
 def to_action_basis3(v, eta_value=ETA3):
-    """Express computational-basis amplitudes in the action basis.
-
-    Handles a single 8-vector or a stack of rows shaped (..., 8).
-    """
-    m = _BASIS3_CONJ if eta_value == ETA3 else np.conj(basis_matrix3(eta_value))
-    return _in_action_basis(v, m)
+    """Computational-basis amplitudes, shape (..., 8), in the action basis."""
+    return _on_last_axis(v, *_basis_change(3, complex(eta_value)))
 
 
 def from_action_basis3(w, eta_value=ETA3):
-    """Inverse of to_action_basis3 (the matrix pair multiplies to 2*I)."""
-    return np.asarray(w, dtype=complex) @ basis_matrix3(eta_value).T / 2.0
+    """Inverse of to_action_basis3 (the matrix pair multiplies to 2*I): row i
+    of M w is M[i, i] w_i + M[i, 7 - i] w_(7 - i), over 2."""
+    c, d = _basis_change(3, complex(eta_value))
+    return _on_last_axis(w, np.conj(c), np.conj(d)[::-1]) / 2.0
 
 
 def game_state2(A, B, P, Q):
@@ -245,13 +265,8 @@ def action_basis2(eta_value=ETA2):
     return {lbl: m[:, k].copy() for k, lbl in enumerate(ACTION_LABELS2)}
 
 
-_BASIS2_CONJ = np.conj(basis_matrix2())
-_BASIS2_CONJ.setflags(write=False)
-
-
 def to_action_basis2(v, eta_value=ETA2):
-    m = _BASIS2_CONJ if eta_value == ETA2 else np.conj(basis_matrix2(eta_value))
-    return _in_action_basis(v, m)
+    return _on_last_axis(v, *_basis_change(2, complex(eta_value)))
 
 
 class OutcomeDistribution:
@@ -307,22 +322,47 @@ def batch_of_one(*values):
     return [np.asarray(v)[np.newaxis] for v in values]
 
 
+# State entries per oracle block: 256 KiB of rows, reused in cache, not faulted.
+_BLOCK_ENTRIES = 2**14
+
+
+def _oracle_probs(gates, eta_value):
+    """Born-rule probabilities of the literal state in the action basis, by
+    blocks of the flattened batch; the coordinate-last view, (..., 2**n)."""
+    check_unit_pairs(*gates)
+    c, d = _basis_change(len(gates), complex(eta_value))
+    shape = np.broadcast(*(a for gate in gates for a in gate)).shape
+    size, width = math.prod(shape), _BLOCK_ENTRIES // len(c)
+    # A spare zero column: numpy sums a lone column in another order, so a
+    # batch of one would not match its row of a larger batch.
+    spare = np.empty((len(c), size + 1))
+    spare[:, size] = 0.0
+    p = spare[:, :size]
+    blocks = [(gates, slice(None))]
+    if size > width:
+        flat = [[np.broadcast_to(a, shape).reshape(-1) for a in gate] for gate in gates]
+        cuts = [slice(start, start + width) for start in range(0, size, width)]
+        blocks = (([(x[cols], y[cols]) for x, y in flat], cols) for cols in cuts)
+    for block, cols in blocks:
+        w = _two_term(_entangled_rows(*block).reshape(len(c), -1), c, d).view(float)
+        np.square(w, out=w)
+        np.add(w[:, ::2], w[:, 1::2], out=p[:, cols])
+    p /= np.add.reduce(spare, axis=0)[:size]
+    return p.T.reshape(shape + (len(c),))
+
+
 def oracle_probs3_batch(A, B, P, Q, E, F, eta_value=ETA3):
     """Vectorized oracle probabilities for stacked strategies, shape (n, 8)."""
-    w = np.abs(to_action_basis3(game_state3(A, B, P, Q, E, F), eta_value)) ** 2
-    return w / np.sum(w, axis=-1, keepdims=True)
+    return _oracle_probs(((A, B), (P, Q), (E, F)), eta_value)
 
 
 def oracle_probs2_batch(A, B, P, Q, eta_value=ETA2):
-    w = np.abs(to_action_basis2(game_state2(A, B, P, Q), eta_value)) ** 2
-    return w / np.sum(w, axis=-1, keepdims=True)
+    return _oracle_probs(((A, B), (P, Q)), eta_value)
 
 
 def oracle_distribution3(A, B, P, Q, E, F, eta_value=ETA3):
-    """State-vector route: closed-form game state measured in the action basis.
-
-    A batch of one through oracle_probs3_batch.
-    """
+    """State-vector route: the literal game state measured in the action
+    basis; a batch of one through oracle_probs3_batch."""
     probs = oracle_probs3_batch(*batch_of_one(A, B, P, Q, E, F), eta_value)
     return OutcomeDistribution(ACTION_LABELS3, probs[0])
 

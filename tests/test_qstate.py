@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from hypergames import qstate
 from hypergames.qstate import (
     ACTION_LABELS2,
     ACTION_LABELS3,
@@ -12,6 +13,7 @@ from hypergames.qstate import (
     action_basis3,
     basis_matrix2,
     basis_matrix3,
+    entangled_state,
     eta,
     flip_gate,
     from_action_basis3,
@@ -25,6 +27,8 @@ from hypergames.qstate import (
     meyer_penny,
     oracle_distribution2,
     oracle_distribution3,
+    oracle_probs2_batch,
+    oracle_probs3_batch,
     penny_evolution,
     su2_matrices,
     to_action_basis2,
@@ -221,21 +225,94 @@ class TestActionBasis3:
         assert abs(np.conj(e) ** 3 - e**3) > 1e-6
 
 
+def two_term_reference(rows, m):
+    """The basis change from the two non-zeros of each column of m: rows j
+    and 2**n - 1 - j, conjugated."""
+    j = np.arange(len(m))
+    return np.conj(m[j, j]) * rows + np.conj(m[j[::-1], j]) * rows[..., ::-1]
+
+
+def dense_probs(v, m):
+    """Born-rule probabilities of state rows v in the basis of m's columns,
+    through the dense einsum over the whole matrix."""
+    w = np.abs(np.einsum("...i,ij->...j", v, np.conj(m))) ** 2
+    return w / np.sum(w, axis=-1, keepdims=True)
+
+
+PHASES = {
+    3: (ETA3, np.exp(0.4j), np.exp(1j * np.pi / 6)),
+    2: (ETA2, np.exp(0.4j), np.exp(1j * np.pi / 6)),
+}
+
+
 class TestBasisChangeAtAnyPhase:
     @pytest.mark.parametrize(
         "to_basis, build, default",
         [(to_action_basis3, basis_matrix3, ETA3), (to_action_basis2, basis_matrix2, ETA2)],
     )
     def test_equals_the_freshly_built_matrix(self, to_basis, build, default):
-        # The default phase reads a matrix built once at import; any other
-        # phase builds its own.  Both give the einsum of the built matrix.
+        # Bit for bit the two-term change read off a freshly built matrix,
+        # and within 1e-15 of the dense einsum over the whole matrix.
         rng = np.random.default_rng(43)
         size = build(default).shape[0]
         rows = rng.standard_normal((5, size)) + 1j * rng.standard_normal((5, size))
         for e in (default, complex(default), np.exp(0.4j)):
-            expected = np.einsum("...i,ij->...j", rows, np.conj(build(e)))
-            assert np.array_equal(to_basis(rows, e), expected)
+            m = build(e)
+            w = to_basis(rows, e)
+            assert np.array_equal(w, two_term_reference(rows, m))
+            assert np.max(np.abs(w - np.einsum("...i,ij->...j", rows, np.conj(m)))) <= 1e-15
+            assert np.array_equal(to_basis(rows[0], e), w[0])
         assert np.array_equal(to_basis(rows), to_basis(rows, default))
+
+    @pytest.mark.parametrize("players, build", [(3, basis_matrix3), (2, basis_matrix2)])
+    def test_columns_vanish_off_two_rows(self, players, build):
+        size = 2**players
+        for e in PHASES[players]:
+            m = build(e)
+            for j in range(size):
+                off = np.delete(m[:, j], sorted({j, size - 1 - j}))
+                assert not off.any()
+                assert m[j, j] != 0 or m[size - 1 - j, j] != 0
+
+    def test_other_structure_raises(self, monkeypatch):
+        dense = np.ones((8, 8), dtype=complex)
+        monkeypatch.setattr(qstate, "basis_matrix3", lambda eta_value: dense)
+        with pytest.raises(ValueError):
+            qstate._basis_change.__wrapped__(3, ETA3)
+
+
+class TestOracleKernel:
+    @pytest.mark.parametrize("players", [3, 2])
+    def test_matches_dense_einsum(self, players):
+        rng = np.random.default_rng(61)
+        pairs = [random_su2_amplitudes(rng, 16384) for _ in range(players)]
+        oracle = oracle_probs3_batch if players == 3 else oracle_probs2_batch
+        build = basis_matrix3 if players == 3 else basis_matrix2
+        state = game_state3 if players == 3 else game_state2
+        args = [a for pair in pairs for a in pair]
+        for e in PHASES[players][:2]:
+            expected = dense_probs(state(*args), build(e))
+            assert np.max(np.abs(oracle(*args, e) - expected)) <= 1e-15
+        # A (1000, 1) player against 16 profiles of the others.
+        x, y = random_su2_amplitudes(rng, 1000)
+        args = [x[:, None], y[:, None]] + [a[:16] for a in args[2:]]
+        got = oracle(*args)
+        assert got.shape == (1000, 16, 2**players)
+        assert np.max(np.abs(got - dense_probs(state(*args), build(eta(players))))) <= 1e-15
+        assert np.allclose(got.sum(axis=-1), 1.0)
+
+    def test_game_states_are_the_rows_transposed(self):
+        rng = np.random.default_rng(67)
+        pairs = [random_su2_amplitudes(rng, 300) for _ in range(3)]
+        rows = qstate._entangled_rows(*pairs)
+        assert rows.shape == (8, 300)
+        assert entangled_state(*pairs).tobytes() == rows.T.tobytes()
+        assert game_state3(*(a for pair in pairs for a in pair)).tobytes() == rows.T.tobytes()
+        two = qstate._entangled_rows(*pairs[:2])
+        assert game_state2(*(a for pair in pairs[:2] for a in pair)).tobytes() == (
+            two.T / np.sqrt(2.0)).tobytes()
+        with pytest.raises(ValueError):
+            entangled_state((1, 0))
 
 
 class TestBasisChange3:
