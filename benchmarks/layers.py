@@ -13,7 +13,11 @@ timing, every closed form must agree with its oracle within 1e-10 and
 ``oct_mul`` must multiply norms within 1e-10 (the Tier-1 tolerances), so a
 fast wrong kernel posts no number.  Then ``indifference_check`` is timed at
 INDIFFERENCE_SAMPLES samples, the (samples, 1) x 16 broadcast of the closed
-form, and ``theorem1_distribution``, ``oracle_distribution3`` and
+form, next to the other two calls of an equilibrium analysis:
+``expected_payoff_mixture`` under the quarter-weight mixtures, which must
+pay the table average within 1e-12, and ``classical_pure_scan``, which must
+find the printed poker table's one pure equilibrium.  Then
+``theorem1_distribution``, ``oracle_distribution3`` and
 ``landsburg_probs`` at a batch of one.  Each ``verify`` suite is timed
 through ``run_suite`` at its default sample count and seed SEED, after one
 run whose report must pass.  The CLI cold start is a fresh interpreter
@@ -122,7 +126,13 @@ def measure(src):
         theorem1_distribution,
         theorem1_probs_batch,
     )
-    from hypergames.equilibria import builtin_games, indifference_check
+    from hypergames.equilibria import (
+        builtin_games,
+        classical_pure_scan,
+        expected_payoff_mixture,
+        indifference_check,
+        special_distribution,
+    )
     from hypergames.hypercomplex import oct_mul, oct_norm
     from hypergames.qstate import (
         oracle_distribution3,
@@ -173,6 +183,11 @@ def measure(src):
     game = builtin_games()["poker_printed"]
     if not indifference_check(1, game, INDIFFERENCE_SAMPLES, TOL, rng=SEED)["passed"]:
         raise SystemExit("indifference_check failed at seed %d" % SEED)
+    mixtures = [special_distribution(k) for k in (1, 2, 3)]
+    if not abs(expected_payoff_mixture(1, *mixtures, game) - 0.875) < 1e-12:
+        raise SystemExit("expected_payoff_mixture missed the table average")
+    if classical_pure_scan(game) != [("FFN", (10.0, 10.0, 20.0))]:
+        raise SystemExit("classical_pure_scan missed the pure equilibrium")
     one = [z[0] for z in haar_profiles(rng, 1)]
     families = [embed3(k + 1, *one[2 * k:2 * k + 2]) for k in range(3)]
     if not theorem1_distribution(*families).max_deviation(
@@ -185,6 +200,10 @@ def measure(src):
             (1, game, INDIFFERENCE_SAMPLES, TOL, SEED),
             INDIFFERENCE_REPEATS,
         ),
+        "expected_payoff_mixture": seconds_per_call(
+            expected_payoff_mixture, (1, *mixtures, game), SCALAR_REPEATS),
+        "classical_pure_scan": seconds_per_call(
+            classical_pure_scan, (game,), SCALAR_REPEATS),
         "batch_of_one": {
             "theorem1_distribution": seconds_per_call(
                 theorem1_distribution, families, SCALAR_REPEATS),

@@ -172,7 +172,8 @@ def cmd_distribution(args):
     }
     closed = None if method == "oracle" else closed_route()
     oracle = oracle_route(*flat) if method in ("oracle", "both") else None
-    report["distribution"] = (oracle if closed is None else closed).as_dict()
+    distribution = oracle if closed is None else closed
+    report["distribution"] = distribution.as_dict()
     if method == "both":
         report["oracle_distribution"] = oracle.as_dict()
         report["comparison"] = check_record(
@@ -180,22 +181,21 @@ def cmd_distribution(args):
         )
 
     if args.game is not None:
-        game_file, name = resolve_game(args.game)
-        if game_file.players != players:
+        game, name = resolve_game(args.game)
+        if game.players != players:
             raise InputError(
                 "game %s is for %d players but %d strategies were given"
-                % (name, game_file.players, players)
+                % (name, game.players, players)
             )
         report["game"] = name
-        report["payoffs"] = game_file.expected_payoffs(report["distribution"])
+        report["payoffs"] = game.payoffs_under(distribution.probs).tolist()
     return report
 
 
 def cmd_equilibrium(args):
-    game_file, name = resolve_game(args.game)
-    if game_file.players != 3:
+    game, name = resolve_game(args.game)
+    if game.players != 3:
         raise InputError("equilibrium analysis needs a 3-player game file")
-    game = game_file.game3()
     notes = []
     defects = dict(game.zero_sum_defects())
     if game.zero_sum_claimed and defects:

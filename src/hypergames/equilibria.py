@@ -1,7 +1,6 @@
 """Payoff evaluation and equilibrium checks for the quantized games.
 
-A three player payoff table assigns each outcome a real payoff per player,
-stored here against the octonion basis index the outcome corresponds to.
+A three player payoff table assigns each outcome a real payoff per player.
 On top of the closed-form distribution this module evaluates pure and mixed
 quantum payoffs, builds the quarter-weight basis mixture whose profile
 equalizes every player's payoff at the average of their table, and runs the
@@ -17,14 +16,14 @@ surfaced by reporting helpers instead of silently patched.
 
 import itertools
 import json
+import numbers
+import sys
 from importlib import resources
 
 import numpy as np
 
 from .coordgame import (
     BASIS_OUTCOMES,
-    INDEX_OF_OUTCOME,
-    LABEL_ORDER,
     PLAYER_BASIS,
     basis_index,
     basis_slot,
@@ -35,106 +34,98 @@ from .coordgame import (
     theorem1_probs_batch,
 )
 from .hypercomplex import Octonion
-from .qstate import ACTION_LABELS3, SQRT3, outcome_labels
+from .qstate import SQRT3, outcome_labels
 from .verify import check_record
 
 # Largest payoff magnitude a game file may hold.  Below it a sum of 16
 # payoffs (indifference_check averages over 16 basis pairs), and the
-# difference of two averages, stay finite.
-MAX_PAYOFF = np.finfo(float).max / 64
+# difference of two averages, stay finite.  A Python float, so comparing an
+# integer too large for a float against it does not overflow.
+MAX_PAYOFF = sys.float_info.max / 64
 
 BUILTIN_GAME_NAMES = ("poker_printed", "poker_zero_sum_corrected", "dilemma_printed")
 
 
-class Game3Payoffs:
-    """Per-player payoff arrays for a three player game.
+class PayoffTable:
+    """A payoff table: one row of payoffs per player, one column per outcome.
 
-    Arrays are indexed by octonion basis index 0..7; use by_label for access
-    through outcome labels.  zero_sum_claimed records whether the source
-    declared the game zero-sum; zero_sum_defects reports cells violating it.
+    payoffs has shape (players, 2**players), its columns in labels order,
+    which is qstate.outcome_labels.  zero_sum_claimed records whether the
+    source declared the game zero-sum; zero_sum_defects reports the cells
+    that break it.  from_outcome_table validates; the constructor trusts
+    its array.
     """
 
-    def __init__(self, X, Y, Z, zero_sum_claimed=False):
-        self.X = self._column(X)
-        self.Y = self._column(Y)
-        self.Z = self._column(Z)
+    def __init__(self, payoffs, zero_sum_claimed=False):
+        self.payoffs = np.asarray(payoffs, dtype=float)
+        self.players = len(self.payoffs)
+        self.labels = outcome_labels(self.players)
         self.zero_sum_claimed = bool(zero_sum_claimed)
 
-    @staticmethod
-    def _column(values):
-        arr = np.asarray(values, dtype=float)
-        if arr.shape != (8,):
-            raise ValueError("payoff column must have exactly 8 entries")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("payoffs must be finite")
-        return arr
-
     @classmethod
-    def from_outcome_table(cls, table, zero_sum_claimed=False):
-        """Build from a mapping of outcome label to (x, y, z) payoffs."""
-        if set(table) != set(INDEX_OF_OUTCOME):
-            raise ValueError("table must cover all 8 outcome labels")
-        cols = np.zeros((3, 8))
+    def from_outcome_table(cls, table, players=3, zero_sum_claimed=None):
+        """Validate a mapping of outcome label to per-player payoffs.
+
+        Every label of the player count appears once, with an array of one
+        real per player, each finite and at most MAX_PAYOFF in magnitude.
+        zero_sum_claimed is a boolean or None.
+        """
+        if players not in (2, 3) or not isinstance(players, int):
+            raise ValueError("players must be 2 or 3, got %r" % (players,))
+        labels = outcome_labels(players)
+        if not isinstance(table, dict) or set(table) != set(labels):
+            raise ValueError(
+                "payoffs must map exactly the %d outcome labels %s"
+                % (len(labels), sorted(labels))
+            )
+        payoffs = np.empty((players, len(labels)))
         for label, row in table.items():
-            row = np.asarray(row, dtype=float)
-            if row.shape != (3,):
-                raise ValueError("each cell needs exactly 3 payoffs")
-            cols[:, INDEX_OF_OUTCOME[label]] = row
-        return cls(cols[0], cols[1], cols[2], zero_sum_claimed)
+            if not isinstance(row, (list, tuple)) or not all(
+                isinstance(x, numbers.Real) and not isinstance(x, bool) for x in row
+            ):
+                raise ValueError("payoffs for %s must be an array of reals" % label)
+            if len(row) != players or not all(abs(x) <= MAX_PAYOFF for x in row):
+                raise ValueError(
+                    "payoffs for %s must be %d finite reals of magnitude at most %g"
+                    % (label, players, MAX_PAYOFF)
+                )
+            payoffs[:, labels.index(label)] = row
+        if zero_sum_claimed is not None and not isinstance(zero_sum_claimed, bool):
+            raise ValueError("zero_sum must be a boolean when present")
+        return cls(payoffs, zero_sum_claimed)
+
+    def game3(self):
+        """This table, checked to be a three player game."""
+        if self.players != 3:
+            raise ValueError("this game file defines a %d player game" % self.players)
+        return self
 
     def payoffs_for(self, player):
-        if player == 1:
-            return self.X
-        if player == 2:
-            return self.Y
-        if player == 3:
-            return self.Z
-        raise ValueError("player must be 1, 2, or 3, got %r" % (player,))
+        """Player's payoffs (players count from 1), in label order."""
+        if player not in range(1, self.players + 1):
+            raise ValueError(
+                "player must be 1 to %d, got %r" % (self.players, player)
+            )
+        return self.payoffs[player - 1]
 
-    def by_label(self, label):
-        k = INDEX_OF_OUTCOME[label]
-        return (self.X[k], self.Y[k], self.Z[k])
+    def payoffs_under(self, probs):
+        """Each player's expected payoff under one probability per label.
 
-    def in_label_order(self, player):
-        """Payoff vector for one player ordered like ACTION_LABELS3."""
-        return self.payoffs_for(player)[LABEL_ORDER]
+        Adds the label columns one at a time in label order, so each total
+        rounds like a sum written out by hand.
+        """
+        totals = np.zeros(self.players)
+        for prob, column in zip(probs, self.payoffs.T):
+            totals += prob * column
+        return totals
 
     def zero_sum_defects(self, tol=1e-9):
         """Outcome labels whose payoffs do not sum to zero, with the sums."""
-        sums = (self.X + self.Y + self.Z)[LABEL_ORDER]
-        return [
-            (label, float(x)) for label, x in zip(ACTION_LABELS3, sums) if abs(x) > tol
-        ]
+        sums = self.payoffs.sum(axis=0)
+        return [(label, float(x)) for label, x in zip(self.labels, sums) if abs(x) > tol]
 
     def __repr__(self):
-        return "Game3Payoffs(X=%s, Y=%s, Z=%s)" % (
-            self.X.tolist(),
-            self.Y.tolist(),
-            self.Z.tolist(),
-        )
-
-
-class GameFile:
-    """Validated in-memory form of a JSON game definition."""
-
-    def __init__(self, players, payoffs, zero_sum=None):
-        self.players = players
-        self.payoffs = payoffs
-        self.zero_sum = zero_sum
-
-    def expected_payoffs(self, distribution):
-        """Each player's expected payoff under a label -> probability dict."""
-        return [
-            sum(distribution[label] * self.payoffs[label][k] for label in distribution)
-            for k in range(self.players)
-        ]
-
-    def game3(self):
-        if self.players != 3:
-            raise ValueError("this game file defines a %d player game" % self.players)
-        return Game3Payoffs.from_outcome_table(
-            self.payoffs, zero_sum_claimed=bool(self.zero_sum)
-        )
+        return "PayoffTable(%s)" % self.payoffs.tolist()
 
 
 def parse_game_file(doc):
@@ -147,32 +138,9 @@ def parse_game_file(doc):
     """
     if not isinstance(doc, dict):
         raise ValueError("game file must be a JSON object")
-    players = doc.get("players")
-    if players not in (2, 3):
-        raise ValueError("players must be 2 or 3, got %r" % (players,))
-    payoffs = doc.get("payoffs")
-    expected = set(outcome_labels(players))
-    if not isinstance(payoffs, dict) or set(payoffs) != expected:
-        raise ValueError(
-            "payoffs must map exactly the %d outcome labels %s"
-            % (len(expected), sorted(expected))
-        )
-    table = {}
-    for label, row in payoffs.items():
-        try:
-            row = tuple(float(x) for x in row)
-        except (TypeError, ValueError):
-            raise ValueError("payoffs for %s must be an array of reals" % label)
-        if len(row) != players or not all(abs(x) <= MAX_PAYOFF for x in row):
-            raise ValueError(
-                "payoffs for %s must be %d finite reals of magnitude at most %g"
-                % (label, players, MAX_PAYOFF)
-            )
-        table[label] = row
-    zero_sum = doc.get("zero_sum")
-    if zero_sum is not None and not isinstance(zero_sum, bool):
-        raise ValueError("zero_sum must be a boolean when present")
-    return GameFile(players, table, zero_sum)
+    return PayoffTable.from_outcome_table(
+        doc.get("payoffs"), doc.get("players"), doc.get("zero_sum")
+    )
 
 
 def load_game_file(path):
@@ -245,7 +213,7 @@ def payoff_pure_basis(k, s, t, u, game):
     The outcome distribution is a point mass, so this reads off a single
     entry of the payoff table.
     """
-    return float(corollary_distribution(s, t, u).probs @ game.in_label_order(k))
+    return float(corollary_distribution(s, t, u).probs @ game.payoffs_for(k))
 
 
 def expected_payoff_mixture(k, m1, m2, m3, game):
@@ -258,7 +226,7 @@ def expected_payoff_mixture(k, m1, m2, m3, game):
     for slot, mixture in enumerate((m1, m2, m3)):
         for index, weight in mixture.support:
             weights[slot, basis_slot(slot + 1, index)] += weight
-    payoffs = BASIS_OUTCOMES @ game.in_label_order(k)
+    payoffs = BASIS_OUTCOMES @ game.payoffs_for(k)
     return float(np.einsum("i,j,l,ijl->", *weights, payoffs))
 
 
@@ -272,7 +240,7 @@ def payoff_pure_quantum(k, strat1, strat2, strat3, game):
         embed3(2, strat2.x, strat2.y),
         embed3(3, strat3.x, strat3.y),
     )
-    return float(dist.probs @ game.in_label_order(k))
+    return float(dist.probs @ game.payoffs_for(k))
 
 
 def _random_subalgebra_pairs(rng, samples):
@@ -323,7 +291,7 @@ def indifference_check(k, game, samples, tol, rng=None):
     probs = theorem1_probs_batch(
         slots[1][0], slots[1][1], slots[2][0], slots[2][1], slots[3][0], slots[3][1]
     )
-    payoff = probs @ game.in_label_order(k)
+    payoff = probs @ game.payoffs_for(k)
     expected = payoff.mean(axis=1)
     target = float(game.payoffs_for(k).sum() / 8.0)
     return check_record(
@@ -359,19 +327,20 @@ def special_payoff_check(k, game):
 def classical_pure_scan(game):
     """Pure-strategy Nash profiles of the classical 2x2x2 game.
 
-    Returns (label, payoffs) pairs for every profile where no unilateral
-    deviation strictly improves the deviating player's payoff.
+    Returns (label, payoffs) pairs, in label order, for every profile where
+    no unilateral deviation strictly improves the deviating player's
+    payoff.  Axis k of a player's (2, 2, 2) block is player k + 1's letter,
+    so flipping it along that axis gives the payoffs after k + 1 deviates.
     """
-    swap = {"N": "F", "F": "N"}
-    results = []
-    for label in ACTION_LABELS3:
-        payoffs = game.by_label(label)
-        if all(
-            game.by_label(label[:k] + swap[label[k]] + label[k + 1 :])[k] <= payoffs[k]
-            for k in range(3)
-        ):
-            results.append((label, tuple(float(x) for x in payoffs)))
-    return results
+    cube = game.payoffs.reshape(3, 2, 2, 2)
+    stable = np.ones((2, 2, 2), dtype=bool)
+    for k in range(3):
+        stable &= cube[k] >= np.flip(cube[k], axis=k)
+    return [
+        (label, tuple(column.tolist()))
+        for label, column, ok in zip(game.labels, game.payoffs.T, stable.flat)
+        if ok
+    ]
 
 
 def classical_mixed_payoff(game, p, q, r):
@@ -384,10 +353,8 @@ def classical_mixed_payoff(game, p, q, r):
     for value in flip:
         if not 0.0 <= value <= 1.0:
             raise ValueError("mixing probabilities must lie in [0, 1]")
-    totals = np.zeros(3)
-    for label in ACTION_LABELS3:
-        weight = 1.0
-        for letter, prob in zip(label, flip):
-            weight *= prob if letter == "F" else 1.0 - prob
-        totals += weight * np.asarray(game.by_label(label))
-    return (float(totals[0]), float(totals[1]), float(totals[2]))
+    # Weight of each label: player 1's N-or-F probability times player 2's
+    # times player 3's, laid out in label order.
+    first, second, third = ((1.0 - x, x) for x in flip)
+    weights = np.multiply.outer(np.multiply.outer(first, second), third)
+    return tuple(game.payoffs_under(weights.ravel()).tolist())

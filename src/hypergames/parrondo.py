@@ -80,18 +80,23 @@ def hd_transition_matrix(p):
     )
 
 
-def _hd_params(p):
-    """Coins of history games whose stationary state and gain are defined.
+def _hd_terms(p):
+    """Terms of history games whose stationary state and gain are defined.
 
-    Both need y = p4(p3 + 1 - p1) > 0.  The stationary normalization is y
-    plus (1 - p1)(1 - p2 + p4), a sum of nonnegative terms, so it vanishes
-    only where y does; hd_stationary and hd_p_gain reject the same coins.
+    Returns p3, p4, 1 - p1, 1 - p2, y = p4(p3 + 1 - p1) and the stationary
+    normalization.  Both need y > 0.  The normalization is y plus
+    (1 - p1)(1 - p2 + p4), a sum of nonnegative terms, so it vanishes only
+    where y does; hd_stationary and hd_p_gain reject the same coins.  The
+    complements are formed first, so p3 + (1 - p1) keeps every digit of a
+    small p3 when p1 is near 1.
     """
-    q = _params(p)
-    p1, _, p3, p4 = np.moveaxis(q, -1, 0)
-    if not np.all(p4 * (p3 + 1.0 - p1) > 0.0):
+    p1, p2, p3, p4 = np.moveaxis(_params(p), -1, 0)
+    n1 = 1.0 - p1
+    n2 = 1.0 - p2
+    y = p4 * (p3 + n1)
+    if not np.all(y > 0.0):
         raise ValueError("history game undefined: y = p4(p3 + 1 - p1) vanishes")
-    return q
+    return p3, p4, n1, n2, y, n1 * (2.0 * p4 + n2) + p3 * p4
 
 
 def hd_stationary(p):
@@ -99,30 +104,21 @@ def hd_stationary(p):
 
     Takes (..., 4) coins to (..., 4) distributions.
     """
-    p1, p2, p3, p4 = np.moveaxis(_hd_params(p), -1, 0)
-    raw = np.stack(
-        [
-            p3 * p4,
-            p4 * (1.0 - p1),
-            p4 * (1.0 - p1),
-            (1.0 - p1) * (1.0 - p2),
-        ],
-        axis=-1,
-    )
-    norm = (1.0 - p1) * (2.0 * p4 + 1.0 - p2) + p3 * p4
+    p3, p4, n1, n2, _, norm = _hd_terms(p)
+    raw = np.stack([p3 * p4, p4 * n1, p4 * n1, n1 * n2], axis=-1)
     return raw / norm[..., np.newaxis]
 
 
 def hd_p_gain(p):
     """Long-run single-round gain probability of history games, shape (...).
 
-    Written as 1/(2 + x/y); the game is losing, fair, or winning according
-    to the sign of x.  Equals the stationary-weighted coin average.
+    The stationary-weighted coin average, which reduces to y over the
+    stationary normalization, or 1/(2 + x/y) with x = (1 - p1)(1 - p2) -
+    p3 p4.  The game is losing, fair, or winning as x is positive, zero, or
+    negative.
     """
-    p1, p2, p3, p4 = np.moveaxis(_hd_params(p), -1, 0)
-    y = p4 * (p3 + 1.0 - p1)
-    x = (1.0 - p1) * (1.0 - p2) - p3 * p4
-    return 1.0 / (2.0 + x / y)
+    *_, y, norm = _hd_terms(p)
+    return y / norm
 
 
 def _fixed_point_residual(matrix, stationary):

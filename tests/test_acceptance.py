@@ -23,7 +23,7 @@ from hypergames.coordgame import (
 )
 from hypergames.equilibria import (
     DiscreteQuantumMixture,
-    Game3Payoffs,
+    PayoffTable,
     builtin_game_file,
     classical_pure_scan,
     expected_payoff_mixture,
@@ -162,13 +162,13 @@ def test_04_special_distribution_average_payoff_and_indifference():
         table = {
             label: tuple(rng.uniform(-10.0, 10.0, size=3)) for label in ACTION_LABELS3
         }
-        game = Game3Payoffs.from_outcome_table(table)
+        game = PayoffTable.from_outcome_table(table)
         for k in (1, 2, 3):
             value = expected_payoff_mixture(k, *mixtures, game=game)
             target = float(game.payoffs_for(k).sum() / 8.0)
             worst_payoff = max(worst_payoff, abs(value - target))
     table = {label: tuple(rng.uniform(-10.0, 10.0, size=3)) for label in ACTION_LABELS3}
-    game = Game3Payoffs.from_outcome_table(table)
+    game = PayoffTable.from_outcome_table(table)
     worst_indiff = 0.0
     for k in (1, 2, 3):
         report = indifference_check(k, game, samples=1000, tol=1e-10, rng=rng)

@@ -3,10 +3,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 import hypergames
 from hypergames import verify
 from hypergames.cli import InputError, main, parse_strategy
-from hypergames.qstate import ACTION_LABELS3
+from hypergames.qstate import ACTION_LABELS3, outcome_labels
 
 IDENTITY = "1,0,0,0"
 FLIP = "0,0,1,0"
@@ -452,10 +454,9 @@ _PARRONDO_ARGV = st.tuples(
 ).map(lambda t: ["parrondo", "--game", t[0]] + t[1])
 
 
-@pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
-@given(st.one_of(_DISTRIBUTION_ARGV, _PARRONDO_ARGV))
-@settings(max_examples=200, derandomize=True, deadline=None)
-def test_exit_contract_holds_for_any_input(argv):
+def assert_exit_contract(argv):
+    """main exits 0, 1 or 2 without a traceback, writes only error: lines
+    to stderr, and on exit 2 writes nothing to stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -463,6 +464,72 @@ def test_exit_contract_holds_for_any_input(argv):
     assert all(line.startswith("error:") for line in err.getvalue().splitlines())
     if code == 2:
         assert out.getvalue() == "" and err.getvalue() != ""
+
+
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
+@given(st.one_of(_DISTRIBUTION_ARGV, _PARRONDO_ARGV))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_exit_contract_holds_for_any_input(argv):
+    assert_exit_contract(argv)
+
+
+_FINITE_PAYOFF = st.one_of(st.integers(-10, 10), st.floats(-1e3, 1e3))
+_BAD_PAYOFF = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400, True, None, "1", [1]]
+)
+_BAD_CELL = st.one_of(
+    st.lists(_FINITE_PAYOFF, max_size=4),
+    st.just("123"),
+    st.dictionaries(st.sampled_from("123"), _FINITE_PAYOFF, max_size=3),
+    st.lists(st.booleans(), min_size=1, max_size=3),
+    _FINITE_PAYOFF,
+    st.none(),
+)
+
+
+@st.composite
+def _game_file_text(draw):
+    """A game file, valid or broken one way: a bad cell or payoff, a label
+    dropped or added, a wrong player count, or JSON cut short."""
+    players = draw(st.sampled_from([2, 3]))
+    labels = outcome_labels(players)
+    cell = st.lists(_FINITE_PAYOFF, min_size=players, max_size=players)
+    payoffs = draw(st.fixed_dictionaries({label: cell for label in labels}))
+    doc = {"players": players, "payoffs": payoffs}
+    if draw(st.booleans()):
+        doc["zero_sum"] = draw(st.sampled_from([True, False, None, "yes", 1]))
+    damage = draw(
+        st.sampled_from(["none", "cell", "payoff", "drop", "add", "players", "json"])
+    )
+    target = draw(st.sampled_from(labels))
+    if damage == "cell":
+        payoffs[target] = draw(_BAD_CELL)
+    elif damage == "payoff":
+        payoffs[target][draw(st.integers(0, players - 1))] = draw(_BAD_PAYOFF)
+    elif damage == "drop":
+        del payoffs[target]
+    elif damage == "add":
+        payoffs[draw(st.sampled_from(["NNNN", "NX", "nn", ""]))] = [0] * players
+    elif damage == "players":
+        doc["players"] = draw(st.sampled_from([0, 1, 4, 5 - players, 2.0, "3", True, None]))
+    text = json.dumps(doc)
+    if damage == "json":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@pytest.mark.filterwarnings("error")
+@given(_game_file_text(), st.sampled_from([2, 3]), st.sampled_from(["text", "json"]))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_game_file_boundary_holds_the_exit_contract(text, strategies, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "game.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert_exit_contract(["equilibrium", path, "--samples", "1", "--format", fmt])
+        assert_exit_contract(
+            ["distribution", "--game", path, "--format", fmt, "--"] + [FLIP] * strategies
+        )
 
 
 def package_env():

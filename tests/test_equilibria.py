@@ -6,7 +6,7 @@ from hypergames.coordgame import PLAYER_BASIS, su2_of_basis
 from hypergames.equilibria import (
     BUILTIN_GAME_NAMES,
     DiscreteQuantumMixture,
-    Game3Payoffs,
+    PayoffTable,
     builtin_game_file,
     builtin_games,
     classical_mixed_payoff,
@@ -36,7 +36,12 @@ POKER_TABLE = {
 
 
 def random_game(rng):
-    return Game3Payoffs(*(rng.standard_normal(8) for _ in range(3)))
+    return PayoffTable(rng.standard_normal((3, 8)))
+
+
+def cell(game, label):
+    """Every player's payoff at one outcome label."""
+    return tuple(game.payoffs[:, game.labels.index(label)].tolist())
 
 
 def specials():
@@ -44,41 +49,50 @@ def specials():
 
 
 class TestGame3Payoffs:
+    """A three player PayoffTable built from a label-keyed table."""
+
     def test_label_round_trip(self):
-        game = Game3Payoffs.from_outcome_table(POKER_TABLE)
+        game = PayoffTable.from_outcome_table(POKER_TABLE)
+        assert game.players == 3 and game.labels == outcome_labels(3)
         for label, row in POKER_TABLE.items():
-            assert game.by_label(label) == tuple(float(x) for x in row)
+            assert cell(game, label) == tuple(float(x) for x in row)
 
     def test_payoff_column_selection(self):
-        game = Game3Payoffs.from_outcome_table(POKER_TABLE)
-        npt.assert_array_equal(game.payoffs_for(1), game.X)
-        npt.assert_array_equal(game.payoffs_for(3), game.Z)
-        with pytest.raises(ValueError):
-            game.payoffs_for(0)
+        # A player's row is their column of the printed table, read in
+        # outcome_labels order.
+        game = PayoffTable.from_outcome_table(POKER_TABLE)
+        for k in (1, 2, 3):
+            npt.assert_array_equal(
+                game.payoffs_for(k),
+                [POKER_TABLE[label][k - 1] for label in outcome_labels(3)],
+            )
+        npt.assert_array_equal(game.payoffs_for(1), [-2, 0, -2, 2, 6, -4, 10, -3])
+        for player in (0, 4):
+            with pytest.raises(ValueError):
+                game.payoffs_for(player)
 
     def test_zero_sum_defects(self):
-        game = Game3Payoffs.from_outcome_table(POKER_TABLE, zero_sum_claimed=True)
+        game = PayoffTable.from_outcome_table(POKER_TABLE, zero_sum_claimed=True)
         assert game.zero_sum_claimed
         assert dict(game.zero_sum_defects()) == {"FFN": 40.0, "FNF": -2.0}
 
     def test_rejects_malformed_columns(self):
-        with pytest.raises(ValueError):
-            Game3Payoffs(np.zeros(7), np.zeros(8), np.zeros(8))
-        with pytest.raises(ValueError):
-            Game3Payoffs(np.full(8, np.nan), np.zeros(8), np.zeros(8))
+        for bad_cell in ((0, 0), (np.nan, 0, 0)):
+            with pytest.raises(ValueError, match="FFF"):
+                PayoffTable.from_outcome_table(dict(POKER_TABLE, FFF=bad_cell))
         bad = dict(POKER_TABLE)
         del bad["FFF"]
         with pytest.raises(ValueError):
-            Game3Payoffs.from_outcome_table(bad)
+            PayoffTable.from_outcome_table(bad)
 
 
 class TestGameFileParsing:
     def test_accepts_valid_three_player_file(self):
         doc = {"players": 3, "zero_sum": True, "payoffs": POKER_TABLE}
         gf = parse_game_file(doc)
-        assert gf.players == 3 and gf.zero_sum is True
-        game = gf.game3()
-        assert game.by_label("FFN") == (10.0, 10.0, 20.0)
+        assert gf.players == 3 and gf.zero_sum_claimed is True
+        assert gf.game3() is gf
+        assert cell(gf, "FFN") == (10.0, 10.0, 20.0)
 
     def test_accepts_two_player_file(self):
         doc = {
@@ -86,7 +100,13 @@ class TestGameFileParsing:
             "payoffs": {"NN": [1, 1], "NF": [0, 3], "FN": [3, 0], "FF": [2, 2]},
         }
         gf = parse_game_file(doc)
-        assert gf.players == 2
+        assert gf.players == 2 and gf.labels == ("NN", "NF", "FN", "FF")
+        npt.assert_array_equal(gf.payoffs, [[1, 0, 3, 2], [1, 3, 0, 2]])
+        probs = (0.1, 0.2, 0.3, 0.4)
+        by_hand = [0.0, 0.0]
+        for p, row in zip(probs, doc["payoffs"].values()):
+            by_hand = [total + p * x for total, x in zip(by_hand, row)]
+        assert gf.payoffs_under(probs).tolist() == by_hand
         with pytest.raises(ValueError):
             gf.game3()
 
@@ -107,6 +127,11 @@ class TestGameFileParsing:
                 "payoffs": {k: [np.inf, 0, 0] for k in POKER_TABLE},
             },
             {"players": 3, "payoffs": dict(POKER_TABLE), "zero_sum": "yes"},
+            {"players": 3, "payoffs": dict(POKER_TABLE, NFN="123")},
+            {"players": 3, "payoffs": dict(POKER_TABLE, NFN={"1": 1, "2": 2, "3": 3})},
+            {"players": 3, "payoffs": dict(POKER_TABLE, NFN=[True, False, 1])},
+            {"players": 3, "payoffs": dict(POKER_TABLE, NFN=[10**400, 0, 0])},
+            {"players": 2.0, "payoffs": {k: [1, 1] for k in ("NN", "NF", "FN", "FF")}},
         ],
     )
     def test_rejects_malformed_documents(self, doc):
@@ -120,7 +145,7 @@ class TestGameFileParsing:
             % ", ".join('"%s": [1, 2, 3]' % k for k in POKER_TABLE)
         )
         gf = load_game_file(target)
-        assert gf.game3().by_label("NNN") == (1.0, 2.0, 3.0)
+        assert cell(gf.game3(), "NNN") == (1.0, 2.0, 3.0)
 
 
 class TestBuiltinGames:
@@ -128,33 +153,33 @@ class TestBuiltinGames:
         games = builtin_games()
         assert set(games) == set(BUILTIN_GAME_NAMES)
         for game in games.values():
-            assert isinstance(game, Game3Payoffs)
+            assert isinstance(game, PayoffTable)
 
     def test_printed_poker_matches_source_table(self):
         game = builtin_games()["poker_printed"]
         for label, row in POKER_TABLE.items():
-            assert game.by_label(label) == tuple(float(x) for x in row)
+            assert cell(game, label) == tuple(float(x) for x in row)
         # Player 1 column in source-table order: outcomes with the third
         # letter N first, second letter varying fastest.
         order = ("NNN", "NFN", "FNN", "FFN", "NNF", "NFF", "FNF", "FFF")
         npt.assert_array_equal(
-            [game.by_label(lab)[0] for lab in order],
+            [cell(game, lab)[0] for lab in order],
             [-2, -2, 6, 10, 0, 2, -4, -3],
         )
 
     def test_corrected_poker_is_zero_sum(self):
         game = builtin_games()["poker_zero_sum_corrected"]
         assert game.zero_sum_defects() == []
-        npt.assert_allclose(game.X + game.Y + game.Z, 0.0, atol=0)
-        assert game.by_label("FFN") == (10.0, 10.0, -20.0)
-        assert game.by_label("FNF") == (-4.0, 2.0, 2.0)
+        npt.assert_allclose(game.payoffs.sum(axis=0), 0.0, atol=0)
+        assert cell(game, "FFN") == (10.0, 10.0, -20.0)
+        assert cell(game, "FNF") == (-4.0, 2.0, 2.0)
 
     def test_dilemma_repeats_poker_numbers(self):
         games = builtin_games()
         dilemma = games["dilemma_printed"]
         poker = games["poker_printed"]
         for label in POKER_TABLE:
-            assert dilemma.by_label(label) == poker.by_label(label)
+            assert cell(dilemma, label) == cell(poker, label)
         assert not dilemma.zero_sum_claimed
 
     def test_unknown_name_rejected(self):
@@ -190,7 +215,7 @@ class TestPureBasisPayoffs:
         rng = np.random.default_rng(5)
         game = random_game(rng)
         one = Octonion.basis(0)
-        assert payoff_pure_basis(1, one, one, one, game) == game.X[0]
+        assert payoff_pure_basis(1, one, one, one, game) == cell(game, "NNN")[0]
 
     def test_triple_flip_cell(self):
         rng = np.random.default_rng(7)
@@ -198,7 +223,7 @@ class TestPureBasisPayoffs:
         value = payoff_pure_basis(
             1, Octonion.basis(4), Octonion.basis(6), Octonion.basis(7), game
         )
-        assert value == pytest.approx(game.X[1], abs=1e-14)
+        assert value == pytest.approx(cell(game, "FFF")[0], abs=1e-14)
 
     def test_equal_payoff_block(self):
         # Triples whose strategy product lands on the same outcome pay the
@@ -246,10 +271,10 @@ class TestMixturePayoffs:
         points = [DiscreteQuantumMixture(p, [(0, 1.0)]) for p in (1, 2, 3)]
         for k in (1, 2, 3):
             value = expected_payoff_mixture(k, *points, game)
-            assert value == game.payoffs_for(k)[0]
+            assert value == cell(game, "NNN")[k - 1]
 
     def test_constant_game(self):
-        game = Game3Payoffs(np.full(8, 2.5), np.full(8, -1.0), np.full(8, 0.25))
+        game = PayoffTable(np.repeat([[2.5], [-1.0], [0.25]], 8, axis=1))
         assert expected_payoff_mixture(1, *specials(), game) == pytest.approx(2.5)
 
     def test_special_profile_pays_table_average(self):
@@ -269,7 +294,7 @@ class TestPureQuantumPayoffs:
         game = random_game(rng)
         ident = SU2Gate(1, 0)
         assert payoff_pure_quantum(1, ident, ident, ident, game) == pytest.approx(
-            game.X[0], abs=1e-14
+            cell(game, "NNN")[0], abs=1e-14
         )
 
     def test_poker_identity_cell(self):
@@ -332,7 +357,7 @@ class TestClassicalAnalysis:
         assert classical_pure_scan(game) == [("FFN", (10.0, 10.0, 20.0))]
 
     def test_scan_constant_game(self):
-        game = Game3Payoffs(np.zeros(8), np.zeros(8), np.zeros(8))
+        game = PayoffTable(np.zeros((3, 8)))
         assert len(classical_pure_scan(game)) == 8
 
     def test_scan_dominant_strategies(self):
@@ -340,13 +365,45 @@ class TestClassicalAnalysis:
         for label in POKER_TABLE:
             # Each player strictly prefers F regardless of the others.
             table[label] = tuple(1.0 if c == "F" else 0.0 for c in label)
-        game = Game3Payoffs.from_outcome_table(table)
+        game = PayoffTable.from_outcome_table(table)
         assert classical_pure_scan(game) == [("FFF", (1.0, 1.0, 1.0))]
+
+    def test_scan_is_the_deviation_by_deviation_definition(self):
+        # Small integer payoffs make ties common, so equal payoffs after a
+        # deviation, which keep a profile stable, are covered too.
+        rng = np.random.default_rng(37)
+        swap = {"N": "F", "F": "N"}
+        for _ in range(200):
+            table = {
+                label: tuple(rng.integers(-2, 3, size=3).tolist()) for label in POKER_TABLE
+            }
+            want = [
+                (label, tuple(float(x) for x in table[label]))
+                for label in outcome_labels(3)
+                if all(
+                    table[label[:k] + swap[label[k]] + label[k + 1 :]][k] <= table[label][k]
+                    for k in range(3)
+                )
+            ]
+            assert classical_pure_scan(PayoffTable.from_outcome_table(table)) == want
+
+    def test_mixed_is_the_label_by_label_sum(self):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            game = random_game(rng)
+            flip = rng.random(3)
+            totals = np.zeros(3)
+            for label in outcome_labels(3):
+                weight = 1.0
+                for letter, prob in zip(label, flip):
+                    weight *= prob if letter == "F" else 1.0 - prob
+                totals += weight * np.array(cell(game, label))
+            assert classical_mixed_payoff(game, *flip) == tuple(totals.tolist())
 
     def test_mixed_pure_corners(self):
         game = builtin_games()["poker_printed"]
-        assert classical_mixed_payoff(game, 0, 0, 0) == game.by_label("NNN")
-        assert classical_mixed_payoff(game, 1, 1, 1) == game.by_label("FFF")
+        assert classical_mixed_payoff(game, 0, 0, 0) == cell(game, "NNN")
+        assert classical_mixed_payoff(game, 1, 1, 1) == cell(game, "FFF")
 
     def test_mixed_equilibrium_of_corrected_table(self):
         game = builtin_games()["poker_zero_sum_corrected"]

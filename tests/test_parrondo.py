@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypergames.parrondo import (
@@ -110,6 +110,8 @@ class TestHistoryChain:
             st.floats(0.0, 1.0),
         )
     )
+    @example((1.0, 0.5, 1e-8, 0.5))
+    @example((0.0, 1.0, 0.0, 1e-5))
     @settings(max_examples=200, deadline=None)
     def test_p_gain_two_forms_agree(self, p):
         p1, p2, p3, p4 = p
