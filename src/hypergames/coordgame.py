@@ -13,14 +13,14 @@ outcomes by octonion basis element rather than by label; the module-level
 tables record that correspondence.
 """
 
+import math
+
 import numpy as np
 
 from .hypercomplex import (
     SUBALGEBRA_UNITS,
     Octonion,
-    complex_pair_mul,
     compile_rows,
-    coordinate_first,
     coordinate_last,
     gather_mul,
     gather_table,
@@ -36,6 +36,8 @@ from .qstate import (
     SU2Gate,
     batch_of_one,
     check_unit_pairs,
+    in_blocks,
+    normalized,
 )
 
 # Octonion basis index -> outcome label.  Index 0 is the real unit.
@@ -94,6 +96,9 @@ _ROUTES = tuple(
     )
     for first, second, outputs in _ROUTE_TABLES
 )
+# The 16-term product of player 1's subalgebra {1, i1, i2, i4}, the
+# quaternions {1, i, j, k}, with rows 1, j, k, i in ACTION_LABELS2 order.
+_QUATERNION_ROWS = compile_rows(gather_table(PLAYER_BASIS[1], PLAYER_BASIS[1], (0, 2, 4, 1)))
 
 
 class OctStrategyFamily:
@@ -133,16 +138,37 @@ def _embed(player, A, B):
     """
     if player not in SUBALGEBRA_UNITS:
         raise ValueError("player must be 1, 2, or 3, got %r" % (player,))
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    check_unit_pairs((A, B))
-    _, mid, high = SUBALGEBRA_UNITS[player]
-    c = np.zeros((8,) + np.broadcast(A, B).shape)
-    c[0] = A.real
-    c[1] = A.imag
-    c[mid] = SQRT3 / 2.0 * B.real - 0.5 * B.imag
-    c[high] = 0.5 * B.real + SQRT3 / 2.0 * B.imag
-    return coordinate_last(c)
+    shape, blocks = _embedded_blocks(math.inf, [(A, B)], [player], [_TWIST3])
+    ((embedded, _),) = blocks
+    return coordinate_last(embedded[0].reshape((8,) + shape))
+
+
+_TWIST3 = complex(SQRT3 / 2.0, 0.5)  # e^(i pi/6), B's twist for 3 players
+_CLOSED_ENTRIES = 2**15  # probability entries per closed-form block, by measurement
+
+
+def _embedded_blocks(width, pairs, players, twists):
+    """The batch shape of strategy pairs, checked once, and for each block of
+    at most width profiles (factors, columns): the (players, 8, n)
+    embeddings, A on coordinates 0 and 1 and B times the twist on the
+    player's other two units, in one reused buffer that is zero elsewhere."""
+    pairs = [tuple(np.asarray(z, dtype=complex) for z in pair) for pair in pairs]
+    check_unit_pairs(*pairs)
+    shape, blocks = in_blocks(width, *(z for pair in pairs for z in pair))
+    buffer = np.zeros((len(pairs), 8, min(math.prod(shape), width)))
+
+    def embedded():
+        for block, block_shape, cols in blocks:
+            factors = buffer[..., : cols.stop - cols.start]
+            for c, player, A, B, w in zip(factors, players, block[::2], block[1::2], twists):
+                _, mid, high = SUBALGEBRA_UNITS[player]
+                c = c.reshape((8,) + block_shape)
+                c[0], c[1] = A.real, A.imag
+                c[mid] = w.real * B.real - w.imag * B.imag
+                c[high] = w.imag * B.real + w.real * B.imag
+            yield factors, cols
+
+    return shape, embedded()
 
 
 def _negated(c, k):
@@ -165,10 +191,10 @@ def embed3(player, A, B):
     return OctStrategyFamily(player, Octonion(c))
 
 
-def _theorem1_kernel(s, t, u):
-    """Outcome probabilities, columns in ACTION_LABELS3 order.
+def _theorem1_probs(shape, blocks):
+    """Outcome probabilities, shape + (8,) in ACTION_LABELS3 order, of
+    blocks of embedded factors s, t, u (see _embedded_blocks).
 
-    s, t, u are the three players' embedded coefficients, broadcasting.
     Half of the outcomes read off g = (s' t10) u01, the other half off
     h = (s' t00) u00, where s' runs over the half sum and half difference of
     player 1's variants o10 and o01.  By bilinearity those are s+, player
@@ -176,28 +202,21 @@ def _theorem1_kernel(s, t, u):
     the squared projections of the s+ and s- products.  Every product runs
     on the players' four-coordinate supports and forms only the outputs
     read; s+ and s- share one first product, and the second product puts
-    their halves on one axis.
-
-    Both routes write into the same buffers, made once per call: the first
-    product's rows, the halves, the probabilities and one term row.  The
-    halves are squared in place.
+    their halves on one axis.  All blocks and both routes reuse one set of
+    buffers, and the halves are squared in place.
     """
-    s, t, u = coordinate_first(s, t, u)
-    inner = np.broadcast_shapes(s.shape[1:], t.shape[1:])
-    shape = np.broadcast_shapes(inner, u.shape[1:])
-    first = np.empty((8,) + inner)
-    halves = np.empty((4, 2) + shape)
-    probs = np.empty((8,) + shape)
-    term = np.empty(shape)
-    # s t broadcasts without u, so its batch shape can be smaller.
-    first_term = term[tuple(map(slice, inner)) + (...,)]
-    for first_rows, second_rows, columns in _ROUTES:
-        gather_mul(s, t, first_rows, first, first_term)
-        gather_mul(first, u, second_rows, halves, term)
-        np.square(halves, out=halves)
-        for k, column in enumerate(columns):
-            np.add(halves[k, 0], halves[k, 1], out=probs[column, ...])
-    return coordinate_last(probs)
+    probs = np.empty((8, math.prod(shape)))
+    width = min(probs.shape[1], _CLOSED_ENTRIES // 8)
+    buffers = np.empty((8, width)), np.empty((4, 2, width)), np.empty(width)
+    for (s, t, u), cols in blocks:
+        first, halves, term = (b[..., : cols.stop - cols.start] for b in buffers)
+        for first_rows, second_rows, columns in _ROUTES:
+            gather_mul(s, t, first_rows, first, term)
+            gather_mul(first, u, second_rows, halves, term)
+            np.square(halves, out=halves)
+            for k, column in enumerate(columns):
+                np.add(halves[k, 0], halves[k, 1], out=probs[column, cols])
+    return probs.T.reshape(shape + (8,))
 
 
 def theorem1_distribution(fam1, fam2, fam3):
@@ -205,11 +224,10 @@ def theorem1_distribution(fam1, fam2, fam3):
 
     Takes one strategy family per player, as produced by embed3, and
     evaluates the eight outcome probabilities purely by octonion
-    arithmetic, in the kernel behind theorem1_probs_batch.
+    arithmetic: a batch of one through the kernel of theorem1_probs_batch.
     """
-    return OutcomeDistribution(
-        ACTION_LABELS3, _theorem1_kernel(fam1.o00.c, fam2.o00.c, fam3.o00.c)
-    )
+    embedded = np.stack([fam.o00.c for fam in (fam1, fam2, fam3)])[..., np.newaxis]
+    return OutcomeDistribution(ACTION_LABELS3, _theorem1_probs((1,), [(embedded, slice(0, 1))])[0])
 
 
 def theorem1_probs_batch(A, B, P, Q, E, F):
@@ -218,7 +236,8 @@ def theorem1_probs_batch(A, B, P, Q, E, F):
     Returns probabilities of shape (..., 8) with columns in ACTION_LABELS3
     order, matching qstate.oracle_probs3_batch for easy comparison.
     """
-    return _theorem1_kernel(_embed(1, A, B), _embed(2, P, Q), _embed(3, E, F))
+    pairs = ((A, B), (P, Q), (E, F))
+    return _theorem1_probs(*_embedded_blocks(_CLOSED_ENTRIES // 8, pairs, (1, 2, 3), [_TWIST3] * 3))
 
 
 def basis_index(o, player):
@@ -292,28 +311,24 @@ def su2_of_basis(o, player):
 def landsburg_probs_batch(A, B, P, Q):
     """Vectorized quaternion closed form for stacked two player pairs.
 
-    The first player's pair becomes the quaternion A + B eta j, the second's
-    P - eta conj(Q) j, with eta the eighth root of unity.  The outcome
-    probabilities are the squared real coordinates of their product,
-    normalized to guard against rounding drift.  Returns shape (..., 4) with
-    columns in ACTION_LABELS2 order, matching qstate.oracle_probs2_batch.
+    The pairs become the quaternions A + B eta j and P - eta conj(Q) j, eta
+    the eighth root of unity: player 1's embedding with the twist eta or
+    -eta.  The probabilities are the squared coordinates of their product,
+    normalized against rounding drift; shape (..., 4), columns in
+    ACTION_LABELS2 order, matching qstate.oracle_probs2_batch.
     """
-    A, B, P, Q = (np.asarray(z, dtype=complex) for z in (A, B, P, Q))
-    # Named, not a temporary: see complex_pair_mul.
-    Qc = np.conj(Q)
-    first, second = complex_pair_mul(A, B * ETA2, P, -ETA2 * Qc)
-    probs = np.stack(
-        [first.real**2, second.real**2, second.imag**2, first.imag**2],
-        axis=-1,
-    )
-    return probs / probs.sum(axis=-1, keepdims=True)
+    pairs = ((A, B), (P, np.conj(Q)))
+    shape, blocks = _embedded_blocks(_CLOSED_ENTRIES // 4, pairs, (1, 1), (ETA2, -ETA2))
+    probs = np.empty((4, math.prod(shape)))
+    term = np.empty(min(probs.shape[1], _CLOSED_ENTRIES // 4))
+    for (left, right), cols in blocks:
+        p = gather_mul(left, right, _QUATERNION_ROWS, probs[:, cols], term[: left.shape[-1]])
+        np.square(p, out=p)
+    return normalized(probs, shape)
 
 
 def landsburg_probs(A, B, P, Q):
-    """Two player outcome distribution from a single quaternion product.
-
-    A batch of one through landsburg_probs_batch, for unit pairs only.
-    """
-    check_unit_pairs((A, B), (P, Q))
+    """Two player outcome distribution from a single quaternion product; a
+    batch of one through landsburg_probs_batch."""
     probs = landsburg_probs_batch(*batch_of_one(A, B, P, Q))
     return OutcomeDistribution(ACTION_LABELS2, probs[0])

@@ -1,6 +1,5 @@
-"""Octonion arithmetic over an explicit oriented Fano table, and the
-quaternion product in complex-pair coordinates that the two-player closed
-form uses.
+"""Octonion arithmetic over an explicit oriented Fano table: the one
+product engine of both closed forms.
 
 Octonions are represented as arrays of eight real coefficients on the ordered
 basis (1, i1, i2, i3, i4, i5, i6, i7). The product of imaginary units is
@@ -20,9 +19,9 @@ left and right supports and the outputs drops more.  Each table is compiled
 once into per-row term lists, and gather_mul writes the product one output
 row at a time into preallocated buffers, with no temporary arrays.  The
 terms are added in the table's order, so the result does not depend on the
-batch shape.  oct_mul is the full-support case, and the closed form in
-coordgame uses restricted tables on each player's four-coordinate
-subalgebra.
+batch shape.  oct_mul is the full-support case; the closed forms in
+coordgame restrict the tables to the players' four-coordinate subalgebras,
+and the two-player quaternion product runs on player 1's, {1, i1, i2, i4}.
 """
 
 import numpy as np
@@ -243,18 +242,3 @@ class Octonion:
                 terms.append("%+g*%s" % (coeff, name))
         return "Octonion(%s)" % (" ".join(terms) or "0")
 
-
-def complex_pair_mul(a0, a1, b0, b1):
-    """Hamilton product in complex-pair coordinates, broadcasting.
-
-    (a0 + a1 j)(b0 + b1 j) = (a0 b0 - a1 conj(b1)) + (a1 conj(b0) + a0 b1) j,
-    which is the bilinear extension of z*j = j*conj(z).  Accepts complex
-    scalars or stacked arrays and returns the product's pair.
-
-    The conjugates are bound to names before they are multiplied.  From
-    256 KiB numpy would otherwise compute a1 * conj(b1) in the temporary
-    conjugate's buffer with the operands swapped, which rounds differently,
-    and a large batch's rows would differ from the same rows alone.
-    """
-    b0c, b1c = np.conj(b0), np.conj(b1)
-    return a0 * b0 - a1 * b1c, a1 * b0c + a0 * b1

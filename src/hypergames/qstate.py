@@ -276,6 +276,28 @@ def batch_of_one(*values):
     return [np.asarray(v)[np.newaxis] for v in values]
 
 
+def in_blocks(width, *arrays):
+    """The batch shape of arrays, and (block, shape, columns) for each block
+    of at most width profiles: the arrays on the block, its batch shape and
+    its slice of the flattened batch.  A batch that fits one block is the
+    arrays as given; a larger one is broadcast, flattened and sliced."""
+    shape = np.broadcast(*arrays).shape
+    size = math.prod(shape)
+    if size <= width:
+        return shape, [(arrays, shape, slice(0, size))]
+    flat = [np.broadcast_to(a, shape).reshape(-1) for a in arrays]
+    cuts = (slice(start, min(start + width, size)) for start in range(0, size, width))
+    return shape, (([a[cols] for a in flat], (cols.stop - cols.start,), cols) for cols in cuts)
+
+
+def normalized(p, shape):
+    """Coordinate-first probabilities p, (rows, size), over their column sums,
+    coordinate-last: shape + (rows,).  The rows are added one at a time, so
+    every column sums in one order whatever the batch size."""
+    p /= sum(p[1:], p[0])
+    return p.T.reshape(shape + (len(p),))
+
+
 # State entries per oracle block: 256 KiB of rows, reused in cache, not faulted.
 _BLOCK_ENTRIES = 2**14
 
@@ -285,24 +307,14 @@ def _oracle_probs(gates, eta_value):
     blocks of the flattened batch; the coordinate-last view, (..., 2**n)."""
     check_unit_pairs(*gates)
     c, d = _basis_change(len(gates), complex(eta_value))
-    shape = np.broadcast(*(a for gate in gates for a in gate)).shape
-    size, width = math.prod(shape), _BLOCK_ENTRIES // len(c)
-    # A spare zero column: numpy sums a lone column in another order, so a
-    # batch of one would not match its row of a larger batch.
-    spare = np.empty((len(c), size + 1))
-    spare[:, size] = 0.0
-    p = spare[:, :size]
-    blocks = [(gates, slice(None))]
-    if size > width:
-        flat = [[np.broadcast_to(a, shape).reshape(-1) for a in gate] for gate in gates]
-        cuts = [slice(start, start + width) for start in range(0, size, width)]
-        blocks = (([(x[cols], y[cols]) for x, y in flat], cols) for cols in cuts)
-    for block, cols in blocks:
-        w = _two_term(_entangled_rows(*block).reshape(len(c), -1), c, d).view(float)
+    shape, blocks = in_blocks(_BLOCK_ENTRIES // len(c), *(a for gate in gates for a in gate))
+    p = np.empty((len(c), math.prod(shape)))
+    for block, _, cols in blocks:
+        v = _entangled_rows(*zip(block[::2], block[1::2])).reshape(len(c), -1)
+        w = _two_term(v, c, d).view(float)
         np.square(w, out=w)
         np.add(w[:, ::2], w[:, 1::2], out=p[:, cols])
-    p /= np.add.reduce(spare, axis=0)[:size]
-    return p.T.reshape(shape + (len(c),))
+    return normalized(p, shape)
 
 
 def oracle_probs3_batch(A, B, P, Q, E, F, eta_value=ETA3):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypergames import coordgame, qstate
 from hypergames.coordgame import (
     _ROUTE_TABLES,
     INDEX_OF_OUTCOME,
@@ -11,7 +12,6 @@ from hypergames.coordgame import (
     OUTCOME_OF_INDEX,
     PLAYER_BASIS,
     _embed,
-    _theorem1_kernel,
     corollary_distribution,
     embed3,
     landsburg_probs,
@@ -178,14 +178,32 @@ class TestClosedFormDistribution:
         assert closed.max_deviation(oracle) < 1e-10
 
 
+def block_edges(n, *widths):
+    """The first and the last row of every block of each width in n rows."""
+    starts = [(start, w) for w in widths for start in range(0, n, w)]
+    return {row for start, w in starts for row in (start, min(start + w, n) - 1)}
+
+
+# Profiles per block of the closed forms and the oracles, 3 and 2 players.
+BLOCK_WIDTHS = (
+    coordgame._CLOSED_ENTRIES // 8,
+    coordgame._CLOSED_ENTRIES // 4,
+    qstate._BLOCK_ENTRIES // 8,
+    qstate._BLOCK_ENTRIES // 4,
+)
+
+
 class TestScalarEntryPointsAreBatchRows:
     """Each scalar entry point is a batch of one through its batch kernel."""
 
     def test_scalar_results_equal_batch_rows_exactly(self):
-        # 20000 rows: from 16384 complex rows (256 KiB) numpy may compute a
-        # product in a temporary operand's buffer, operands swapped, which
-        # rounds differently; sampled rows must still match a batch of one.
+        # 20000 rows span more than one block of every kernel.  Each kernel
+        # works column by column in one fixed order (products term by term in
+        # table order, sums row by row), so a row keeps its bits wherever it
+        # falls in a block, and in a batch of one.  The sample holds the
+        # first and the last row of every block.
         n = 20000
+        assert max(BLOCK_WIDTHS) < n
         rng = np.random.default_rng(41)
         a, b = unit_pairs(rng, n)
         p, q = unit_pairs(rng, n)
@@ -194,7 +212,7 @@ class TestScalarEntryPointsAreBatchRows:
         closed2 = landsburg_probs_batch(a, b, p, q)
         oracle3 = oracle_probs3_batch(a, b, p, q, e, f)
         oracle2 = oracle_probs2_batch(a, b, p, q)
-        for k in range(0, n, 157):
+        for k in sorted(set(range(0, n, 157)) | block_edges(n, *BLOCK_WIDTHS)):
             three = (a[k], b[k], p[k], q[k], e[k], f[k])
             fams = family_triple(*three)
             assert np.array_equal(theorem1_distribution(*fams).probs, closed3[k])
@@ -234,7 +252,10 @@ class TestSparseKernel:
         e, f = unit_pairs(rng, 1000)
         s, t, u = _embed(1, a, b), _embed(2, p, q), _embed(3, e, f)
         npt.assert_allclose(
-            _theorem1_kernel(s, t, u), dense_theorem1(s, t, u), rtol=1e-15, atol=1e-15
+            theorem1_probs_batch(a, b, p, q, e, f),
+            dense_theorem1(s, t, u),
+            rtol=1e-15,
+            atol=1e-15,
         )
 
     def test_broadcast_against_basis_pairs_equals_row_by_row(self):
@@ -262,11 +283,15 @@ class TestSparseKernel:
     def test_norm_check_is_absolute(self):
         # Within np.allclose's default rtol of 1e-5 but 5e-6 off unit norm.
         drift = np.sqrt(1 + 5e-6)
-        with pytest.raises(ValueError, match=r"\|A\|\^2 \+ \|B\|\^2 = 1"):
-            theorem1_probs_batch(drift, 0, 1, 0, 1, 0)
+        for bad in (drift, np.nan):
+            with pytest.raises(ValueError, match=r"\|A\|\^2 \+ \|B\|\^2 = 1"):
+                theorem1_probs_batch(bad, 0, 1, 0, 1, 0)
+            with pytest.raises(ValueError, match=r"\|A\|\^2 \+ \|B\|\^2 = 1"):
+                landsburg_probs_batch([1], [0], [0], [bad])
         with pytest.raises(ValueError):
             embed3(2, 0, drift)
         theorem1_probs_batch(np.sqrt(1 + 5e-10), 0, 1, 0, 1, 0)
+        landsburg_probs_batch(1, 0, 0, np.sqrt(1 + 5e-10))
 
 
 def term_at_a_time_mul(a, b, table):
@@ -309,21 +334,27 @@ class TestRowWiseProductIsTermAtATime:
     def test_theorem1_kernel_on_a_large_batch(self):
         rng = np.random.default_rng(67)
         n = 16384
-        s, t, u = (_embed(k, *unit_pairs(rng, n)) for k in (1, 2, 3))
-        assert same_bits(_theorem1_kernel(s, t, u), term_at_a_time_theorem1(s, t, u))
+        pairs = [unit_pairs(rng, n) for _ in range(3)]
+        s, t, u = (_embed(k, *pair) for k, pair in enumerate(pairs, start=1))
+        probs = theorem1_probs_batch(*(z for pair in pairs for z in pair))
+        assert same_bits(probs, term_at_a_time_theorem1(s, t, u))
 
     @pytest.mark.parametrize("player", [1, 2, 3])
     def test_theorem1_kernel_broadcast_against_basis_pairs(self, player):
         # indifference_check's shape: (1000, 1) pairs of one player against
         # the 16 basis pairs of the other two, including exact zeros.
         rng = np.random.default_rng(71 + player)
-        embedded = {player: _embed(player, *(z[:, None] for z in unit_pairs(rng, 1000)))}
+        pairs = {player: tuple(z[:, None] for z in unit_pairs(rng, 1000))}
         others = [k for k in (1, 2, 3) if k != player]
-        hot = {k: np.eye(8)[list(PLAYER_BASIS[k])] for k in others}
-        embedded[others[0]] = np.repeat(hot[others[0]], 4, axis=0)
-        embedded[others[1]] = np.tile(hot[others[1]], (4, 1))
-        s, t, u = (embedded[k] for k in (1, 2, 3))
-        probs = _theorem1_kernel(s, t, u)
+        gates = {
+            k: [su2_of_basis(Octonion.basis(i), k) for i in PLAYER_BASIS[k]] for k in others
+        }
+        pairs[others[0]] = ([g.x for g in gates[others[0]] for _ in range(4)],
+                            [g.y for g in gates[others[0]] for _ in range(4)])
+        pairs[others[1]] = ([g.x for g in gates[others[1]]] * 4,
+                            [g.y for g in gates[others[1]]] * 4)
+        s, t, u = (_embed(k, *pairs[k]) for k in (1, 2, 3))
+        probs = theorem1_probs_batch(*(z for k in (1, 2, 3) for z in pairs[k]))
         assert probs.shape == (1000, 16, 8)
         assert same_bits(probs, term_at_a_time_theorem1(s, t, u))
 
@@ -332,9 +363,9 @@ class TestRowWiseProductIsTermAtATime:
         for _ in range(20):
             fams = family_triple(*(z[0] for _ in range(3) for z in unit_pairs(rng, 1)))
             s, t, u = (fam.o00.c for fam in fams)
-            assert _theorem1_kernel(s, t, u).shape == (8,)
-            assert same_bits(_theorem1_kernel(s, t, u), term_at_a_time_theorem1(s, t, u))
-            assert same_bits(theorem1_distribution(*fams).probs, _theorem1_kernel(s, t, u))
+            probs = theorem1_distribution(*fams).probs
+            assert probs.shape == (8,)
+            assert same_bits(probs, term_at_a_time_theorem1(s, t, u))
 
     def test_oct_mul(self):
         rng = np.random.default_rng(79)
@@ -494,3 +525,21 @@ def test_lone_flip_lands_on_its_players_letter(players, k):
     for dist in (closed, oracle):
         assert dist.labels == outcome_labels(players)
         assert dist.prob(label) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kernel,players",
+    [
+        (theorem1_probs_batch, 3),
+        (oracle_probs3_batch, 3),
+        (landsburg_probs_batch, 2),
+        (oracle_probs2_batch, 2),
+    ],
+)
+@pytest.mark.parametrize("shapes,batch", [(((0,),), (0,)), (((0, 1), (5,)), (0, 5))])
+def test_empty_batch_has_no_rows(kernel, players, shapes, batch):
+    """A batch of size 0 gives 0 rows of the kernel's width, not an error."""
+    amplitudes = [np.ones(shapes[k % len(shapes)], dtype=complex) for k in range(2 * players)]
+    amplitudes[1::2] = [np.zeros_like(a) for a in amplitudes[1::2]]
+    probs = kernel(*amplitudes)
+    assert probs.shape == batch + (2**players,)

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypergames.coordgame import _QUATERNION_ROWS
 from hypergames.hypercomplex import (
     FANO_LINES,
     OCT_TENSOR,
     SUBALGEBRA_UNITS,
     Octonion,
     compile_rows,
-    complex_pair_mul,
     gather_mul,
     gather_table,
     oct_conj,
@@ -58,6 +58,17 @@ class Quaternion:
 
     def __repr__(self):
         return "Quaternion(%g, %g, %g, %g)" % (self.w, self.x, self.y, self.z)
+
+
+def complex_pair_mul(a0, a1, b0, b1):
+    """Hamilton product in complex-pair coordinates, broadcasting.
+
+    (a0 + a1 j)(b0 + b1 j) = (a0 b0 - a1 conj(b1)) + (a1 conj(b0) + a0 b1) j,
+    which is the bilinear extension of z*j = j*conj(z).  Accepts complex
+    scalars or stacked arrays and returns the product's pair.  The
+    reference that the package's gather tables are checked against.
+    """
+    return a0 * b0 - a1 * np.conj(b1), a1 * np.conj(b0) + a0 * b1
 
 
 def quat_mul(a, b):
@@ -390,6 +401,11 @@ class TestQuaternionOctonionEmbedding:
         direct = quat_to_oct(quat_mul(a, b), player)
         embedded = oct_mul(quat_to_oct(a, player), quat_to_oct(b, player))
         npt.assert_allclose(embedded.c, direct.c, atol=1e-12)
+        # The two-player closed form's 16-term table on player 1's
+        # subalgebra, whose rows are the coordinates 1, j, k and i.
+        ca, cb = (quat_to_oct(q, 1).c[:, np.newaxis] for q in (a, b))
+        gathered = gather_mul(ca, cb, _QUATERNION_ROWS)[:, 0]
+        npt.assert_allclose(gathered, quat_mul(a, b).coeffs()[[0, 2, 3, 1]], atol=1e-12)
 
     def test_round_trip(self):
         q = Quaternion(0.1, -0.2, 0.3, -0.4)
