@@ -26,9 +26,12 @@ exit 0; its faults are those of the child processes.
 
 Each entry holds the median and the interquartile range of the wall-clock
 seconds per call over its repeats, after one untimed warm-up call, and the
-minor page faults per call (``getrusage``).  The record also names the
-sizes, ``nproc``, the CPU, Python and numpy.  The package is imported from
-``--src``, ``src/`` of this checkout by default, and the record is printed.
+minor page faults per call (``getrusage``).  Each call runs while the
+previous call's result is still alive, as in perfbench's loop, so the heap
+is reused the way a caller that keeps its results sees it.  The record
+also names the sizes, ``nproc``, the CPU, Python and numpy.  The package
+is imported from ``--src``, ``src/`` of this checkout by default, and the
+record is printed.
 
 With ``--parent`` the script instead measures two trees, the parent at that
 ``src`` and the change at ``--src``, in ROUNDS rounds.  Each round runs one
@@ -92,12 +95,13 @@ def haar_profiles(rng, n):
 
 
 def seconds_per_call(fn, args, repeats, who=resource.RUSAGE_SELF):
-    fn(*args)
+    result = fn(*args)
     times = []
     faults = resource.getrusage(who).ru_minflt
     for _ in range(repeats):
+        previous = result  # alive through the next call; the one before is freed untimed
         start = time.perf_counter()
-        fn(*args)
+        result = fn(*args)
         times.append(time.perf_counter() - start)
     faults = resource.getrusage(who).ru_minflt - faults
     q25, q50, q75 = np.percentile(times, [25, 50, 75])

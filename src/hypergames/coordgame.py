@@ -30,7 +30,6 @@ from .qstate import (
     ACTION_LABELS2,
     ACTION_LABELS3,
     ETA2,
-    ETA3,
     SQRT3,
     OutcomeDistribution,
     SU2Gate,
@@ -138,7 +137,7 @@ def _embed(player, A, B):
     """
     if player not in SUBALGEBRA_UNITS:
         raise ValueError("player must be 1, 2, or 3, got %r" % (player,))
-    shape, blocks = _embedded_blocks(math.inf, [(A, B)], [player], [_TWIST3])
+    shape, _, blocks = _embedded_blocks(math.inf, [(A, B)], [player], [_TWIST3])
     ((embedded, _),) = blocks
     return coordinate_last(embedded[0].reshape((8,) + shape))
 
@@ -147,15 +146,24 @@ _TWIST3 = complex(SQRT3 / 2.0, 0.5)  # e^(i pi/6), B's twist for 3 players
 _CLOSED_ENTRIES = 2**15  # probability entries per closed-form block, by measurement
 
 
+def _strategy_pair(c):
+    """The pair (A, B) whose 3-player embedding has quaternion coordinates
+    c, shape (..., 4): A = c0 + i c1 and B = conj(_TWIST3) (c2 + i c3)."""
+    w = _TWIST3
+    b0 = w.real * c[..., 2] + w.imag * c[..., 3]
+    b1 = -w.imag * c[..., 2] + w.real * c[..., 3]
+    return c[..., 0] + 1j * c[..., 1], b0 + 1j * b1
+
+
 def _embedded_blocks(width, pairs, players, twists):
-    """The batch shape of strategy pairs, checked once, and for each block of
-    at most width profiles (factors, columns): the (players, 8, n)
+    """The batch shape of strategy pairs, checked once, the most profiles in
+    a block, and per in_blocks block (factors, columns): the (players, 8, n)
     embeddings, A on coordinates 0 and 1 and B times the twist on the
-    player's other two units, in one reused buffer that is zero elsewhere."""
+    player's other two units, in one buffer sized once, zero elsewhere."""
     pairs = [tuple(np.asarray(z, dtype=complex) for z in pair) for pair in pairs]
     check_unit_pairs(*pairs)
-    shape, blocks = in_blocks(width, *(z for pair in pairs for z in pair))
-    buffer = np.zeros((len(pairs), 8, min(math.prod(shape), width)))
+    shape, largest, blocks = in_blocks(width, *(z for pair in pairs for z in pair))
+    buffer = np.zeros((len(pairs), 8, largest))
 
     def embedded():
         for block, block_shape, cols in blocks:
@@ -168,7 +176,7 @@ def _embedded_blocks(width, pairs, players, twists):
                 c[high] = w.imag * B.real + w.real * B.imag
             yield factors, cols
 
-    return shape, embedded()
+    return shape, largest, embedded()
 
 
 def _negated(c, k):
@@ -182,8 +190,8 @@ def embed3(player, A, B):
     """Embed an SU(2) strategy pair (A, B) into the player's subalgebra.
 
     The real and i1 coefficients carry A; the other two imaginary units of
-    the player's quaternion triple carry B twisted by a sixth root of
-    unity.  Returns the family of sign variants of the embedding.
+    the player's quaternion triple carry B twisted by e^(i pi/6), a twelfth
+    root of unity.  Returns the family of sign variants of the embedding.
     """
     c = _embed(player, A, B)
     if c.ndim != 1:
@@ -191,7 +199,7 @@ def embed3(player, A, B):
     return OctStrategyFamily(player, Octonion(c))
 
 
-def _theorem1_probs(shape, blocks):
+def _theorem1_probs(shape, largest, blocks):
     """Outcome probabilities, shape + (8,) in ACTION_LABELS3 order, of
     blocks of embedded factors s, t, u (see _embedded_blocks).
 
@@ -206,8 +214,7 @@ def _theorem1_probs(shape, blocks):
     buffers, and the halves are squared in place.
     """
     probs = np.empty((8, math.prod(shape)))
-    width = min(probs.shape[1], _CLOSED_ENTRIES // 8)
-    buffers = np.empty((8, width)), np.empty((4, 2, width)), np.empty(width)
+    buffers = np.empty((8, largest)), np.empty((4, 2, largest)), np.empty(largest)
     for (s, t, u), cols in blocks:
         first, halves, term = (b[..., : cols.stop - cols.start] for b in buffers)
         for first_rows, second_rows, columns in _ROUTES:
@@ -227,7 +234,7 @@ def theorem1_distribution(fam1, fam2, fam3):
     arithmetic: a batch of one through the kernel of theorem1_probs_batch.
     """
     embedded = np.stack([fam.o00.c for fam in (fam1, fam2, fam3)])[..., np.newaxis]
-    return OutcomeDistribution(ACTION_LABELS3, _theorem1_probs((1,), [(embedded, slice(0, 1))])[0])
+    return OutcomeDistribution(ACTION_LABELS3, _theorem1_probs((1,), 1, [(embedded, slice(0, 1))])[0])
 
 
 def theorem1_probs_batch(A, B, P, Q, E, F):
@@ -293,9 +300,7 @@ def corollary_distribution(s, t, u):
 
 
 # The strategy of each basis slot (PLAYER_BASIS order), for every player.
-_SLOT_GATES = tuple(
-    SU2Gate(x, y) for x, y in ((1.0, 0.0), (1j, 0.0), (0.0, SQRT3 / 2.0 - 0.5j), (0.0, ETA3))
-)
+_SLOT_GATES = tuple(SU2Gate(x, y) for x, y in zip(*_strategy_pair(np.eye(4))))
 
 
 def su2_of_basis(o, player):
@@ -318,9 +323,9 @@ def landsburg_probs_batch(A, B, P, Q):
     ACTION_LABELS2 order, matching qstate.oracle_probs2_batch.
     """
     pairs = ((A, B), (P, np.conj(Q)))
-    shape, blocks = _embedded_blocks(_CLOSED_ENTRIES // 4, pairs, (1, 1), (ETA2, -ETA2))
+    shape, largest, blocks = _embedded_blocks(_CLOSED_ENTRIES // 4, pairs, (1, 1), (ETA2, -ETA2))
     probs = np.empty((4, math.prod(shape)))
-    term = np.empty(min(probs.shape[1], _CLOSED_ENTRIES // 4))
+    term = np.empty(largest)
     for (left, right), cols in blocks:
         p = gather_mul(left, right, _QUATERNION_ROWS, probs[:, cols], term[: left.shape[-1]])
         np.square(p, out=p)

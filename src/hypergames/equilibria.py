@@ -14,7 +14,6 @@ poker numbers); they are kept verbatim as data, with the inconsistencies
 surfaced by reporting helpers instead of silently patched.
 """
 
-import itertools
 import json
 import numbers
 import sys
@@ -23,18 +22,19 @@ from importlib import resources
 import numpy as np
 
 from .coordgame import (
+    _SLOT_GATES,
     BASIS_OUTCOMES,
     PLAYER_BASIS,
+    _strategy_pair,
     basis_index,
     basis_slot,
     corollary_distribution,
     embed3,
-    su2_of_basis,
     theorem1_distribution,
     theorem1_probs_batch,
 )
 from .hypercomplex import Octonion
-from .qstate import SQRT3, outcome_labels
+from .qstate import outcome_labels
 from .verify import check_record
 
 # Largest payoff magnitude a game file may hold.  Below it a sum of 16
@@ -102,7 +102,7 @@ class PayoffTable:
 
     def payoffs_for(self, player):
         """Player's payoffs (players count from 1), in label order."""
-        if player not in range(1, self.players + 1):
+        if not isinstance(player, numbers.Integral) or player not in range(1, self.players + 1):
             raise ValueError(
                 "player must be 1 to %d, got %r" % (self.players, player)
             )
@@ -251,10 +251,7 @@ def _random_subalgebra_pairs(rng, samples):
     """
     coords = rng.standard_normal((samples, 4))
     coords /= np.linalg.norm(coords, axis=1, keepdims=True)
-    A = coords[:, 0] + 1j * coords[:, 1]
-    b0 = SQRT3 / 2.0 * coords[:, 2] + 0.5 * coords[:, 3]
-    b1 = -0.5 * coords[:, 2] + SQRT3 / 2.0 * coords[:, 3]
-    return A, b0 + 1j * b1
+    return _strategy_pair(coords)
 
 
 def indifference_check(k, game, samples, tol, rng=None):
@@ -265,35 +262,22 @@ def indifference_check(k, game, samples, tol, rng=None):
     maximum deviation of the expected payoff from the player's all-outcome
     average.  The check passes when the deviation stays below tol.
     """
+    payoffs = game.payoffs_for(k)
     samples = int(samples)
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(rng)
     A, B = _random_subalgebra_pairs(rng, samples)
 
-    others = [p for p in (1, 2, 3) if p != k]
-    basis_gates = {
-        p: [su2_of_basis(Octonion.basis(i), p) for i in PLAYER_BASIS[p]]
-        for p in others
-    }
-    combos = list(
-        itertools.product(basis_gates[others[0]], basis_gates[others[1]])
-    )
-    slots = {k: (A[:, None], B[:, None])}
-    slots[others[0]] = (
-        np.array([g.x for g, _ in combos]),
-        np.array([g.y for g, _ in combos]),
-    )
-    slots[others[1]] = (
-        np.array([h.x for _, h in combos]),
-        np.array([h.y for _, h in combos]),
-    )
-    probs = theorem1_probs_batch(
-        slots[1][0], slots[1][1], slots[2][0], slots[2][1], slots[3][0], slots[3][1]
-    )
-    payoff = probs @ game.payoffs_for(k)
-    expected = payoff.mean(axis=1)
-    target = float(game.payoffs_for(k).sum() / 8.0)
+    # The other two players' 16 basis pairs, one grid of the slot gates (the
+    # same for every player) with the first of them varying slowest.
+    x = np.array([g.x for g in _SLOT_GATES])
+    y = np.array([g.y for g in _SLOT_GATES])
+    pairs = [(x.repeat(4), y.repeat(4)), (np.tile(x, 4), np.tile(y, 4))]
+    pairs.insert(k - 1, (A[:, None], B[:, None]))
+    probs = theorem1_probs_batch(*(z for pair in pairs for z in pair))
+    expected = (probs @ payoffs).mean(axis=1)
+    target = float(payoffs.sum() / 8.0)
     return check_record(
         "own strategy cannot move the payoff off the target",
         samples,

@@ -277,17 +277,27 @@ def batch_of_one(*values):
 
 
 def in_blocks(width, *arrays):
-    """The batch shape of arrays, and (block, shape, columns) for each block
-    of at most width profiles: the arrays on the block, its batch shape and
-    its slice of the flattened batch.  A batch that fits one block is the
-    arrays as given; a larger one is broadcast, flattened and sliced."""
+    """The batch shape of arrays, the most profiles in any block, and
+    (block, shape, columns) for each block: the arrays on the block, its
+    batch shape and its slice of the flattened batch.  A batch of at most
+    width profiles is one block, the arrays as given.  A larger one is cut
+    into runs of whole leading rows, at most width profiles each unless one
+    row is longer: an array that spans the leading axis is sliced along it
+    and every other one broadcasts as it is, so no block copies an input."""
     shape = np.broadcast(*arrays).shape
     size = math.prod(shape)
     if size <= width:
-        return shape, [(arrays, shape, slice(0, size))]
-    flat = [np.broadcast_to(a, shape).reshape(-1) for a in arrays]
-    cuts = (slice(start, min(start + width, size)) for start in range(0, size, width))
-    return shape, (([a[cols] for a in flat], (cols.stop - cols.start,), cols) for cols in cuts)
+        return shape, size, [(arrays, shape, slice(0, size))]
+    row = size // shape[0]
+    rows = max(1, width // row)
+    spans = [np.ndim(a) == len(shape) and len(a) > 1 for a in arrays]
+
+    def block(start):
+        stop = min(start + rows, shape[0])
+        sliced = [a[start:stop] if span else a for a, span in zip(arrays, spans)]
+        return sliced, (stop - start,) + shape[1:], slice(start * row, stop * row)
+
+    return shape, rows * row, (block(start) for start in range(0, shape[0], rows))
 
 
 def normalized(p, shape):
@@ -304,10 +314,10 @@ _BLOCK_ENTRIES = 2**14
 
 def _oracle_probs(gates, eta_value):
     """Born-rule probabilities of the literal state in the action basis, by
-    blocks of the flattened batch; the coordinate-last view, (..., 2**n)."""
+    in_blocks of the batch; the coordinate-last view, (..., 2**n)."""
     check_unit_pairs(*gates)
     c, d = _basis_change(len(gates), complex(eta_value))
-    shape, blocks = in_blocks(_BLOCK_ENTRIES // len(c), *(a for gate in gates for a in gate))
+    shape, _, blocks = in_blocks(_BLOCK_ENTRIES // len(c), *(a for gate in gates for a in gate))
     p = np.empty((len(c), math.prod(shape)))
     for block, _, cols in blocks:
         v = _entangled_rows(*zip(block[::2], block[1::2])).reshape(len(c), -1)

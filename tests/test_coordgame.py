@@ -260,9 +260,12 @@ class TestSparseKernel:
 
     def test_broadcast_against_basis_pairs_equals_row_by_row(self):
         # The shape indifference_check uses: (n, 1) pairs of one player
-        # against the 16 basis pairs of the other two.
+        # against the 16 basis pairs of the other two, over several blocks of
+        # every kernel.  And a (2, 1) x (5000,) x (2, 5000) batch, whose one
+        # leading row is longer than a 3-player closed-form block.  Each
+        # batch kernel on a broadcast equals it on the same batch flattened.
         rng = np.random.default_rng(61)
-        a, b = unit_pairs(rng, 200)
+        a, b = unit_pairs(rng, 1000)
         two, three = (
             [su2_of_basis(Octonion.basis(k), player) for k in PLAYER_BASIS[player]]
             for player in (2, 3)
@@ -272,9 +275,26 @@ class TestSparseKernel:
         q = np.array([g2.y for g2, _ in pairs])
         e = np.array([g3.x for _, g3 in pairs])
         f = np.array([g3.y for _, g3 in pairs])
+        x, y = unit_pairs(rng, 2)
+        u, v = unit_pairs(rng, 5000)
+        g, h = (z.reshape(2, 5000) for z in unit_pairs(rng, 10000))
+        assert 1000 * 16 > max(BLOCK_WIDTHS)
+        assert 5000 > coordgame._CLOSED_ENTRIES // 8
+        kernels = (
+            (theorem1_probs_batch, 6),
+            (oracle_probs3_batch, 6),
+            (landsburg_probs_batch, 4),
+            (oracle_probs2_batch, 4),
+        )
+        for args in ((a[:, None], b[:, None], p, q, e, f), (x[:, None], y[:, None], u, v, g, h)):
+            for kernel, arity in kernels:
+                shape = np.broadcast(*args[:arity]).shape
+                got = kernel(*args[:arity])
+                flat = kernel(*(np.broadcast_to(z, shape).reshape(-1) for z in args[:arity]))
+                assert got.shape == shape + flat.shape[-1:]
+                assert np.array_equal(got, flat.reshape(got.shape))
         probs = theorem1_probs_batch(a[:, None], b[:, None], p, q, e, f)
-        assert probs.shape == (200, 16, 8)
-        for k in range(200):
+        for k in range(0, 1000, 5):
             row = theorem1_probs_batch(a[k], b[k], p, q, e, f)
             assert np.array_equal(row, probs[k])
         oracle = oracle_probs3_batch(a[:, None], b[:, None], p, q, e, f)

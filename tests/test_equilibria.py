@@ -333,8 +333,12 @@ class TestIndifference:
 
     def test_sample_validation(self):
         rng = np.random.default_rng(31)
+        game = random_game(rng)
         with pytest.raises(ValueError):
-            indifference_check(1, random_game(rng), 0, 1e-10)
+            indifference_check(1, game, 0, 1e-10)
+        for k in (0, 4, 1.0):
+            with pytest.raises(ValueError, match="player must be 1 to 3"):
+                indifference_check(k, game, 10, 1e-10)
 
     def test_seeded_runs_reproduce(self):
         game = builtin_games()["poker_zero_sum_corrected"]

@@ -339,6 +339,36 @@ class TestOracleKernel:
             entangled_state((1, 0))
 
 
+class TestInBlocks:
+    def test_blocks_are_leading_row_views(self):
+        # indifference_check's (n, 1) x 16 broadcast in blocks of 100
+        # profiles: runs of 6 whole leading rows, each a view of the inputs.
+        rng = np.random.default_rng(83)
+        a, b = rng.standard_normal((1000, 1)), rng.standard_normal(16)
+        shape, largest, blocks = qstate.in_blocks(100, a, b)
+        blocks = list(blocks)
+        assert (shape, largest, len(blocks)) == ((1000, 16), 96, 167)
+        start = 0
+        for (block_a, block_b), block_shape, cols in blocks:
+            assert np.shares_memory(block_a, a) and np.shares_memory(block_b, b)
+            assert block_shape == np.broadcast(block_a, block_b).shape == (len(block_a), 16)
+            assert cols == slice(start, start + 16 * len(block_a))
+            start = cols.stop
+        assert start == a.size * b.size
+        # A leading row longer than the width is a block of its own.
+        c = rng.standard_normal((2, 5000))
+        shape, largest, blocks = qstate.in_blocks(4096, a[:2], b[:1], c)
+        blocks = list(blocks)
+        assert (shape, largest, len(blocks)) == ((2, 5000), 5000, 2)
+        for block, block_shape, cols in blocks:
+            assert all(np.shares_memory(z, w) for z, w in zip(block, (a, b, c)))
+            assert block_shape == (1, 5000) and cols.stop - cols.start == 5000
+        # A batch that fits one block is the inputs as given.
+        shape, largest, [(block, block_shape, cols)] = qstate.in_blocks(16000, a, b)
+        assert block[0] is a and block[1] is b
+        assert (block_shape, largest, cols) == (shape, 16000, slice(0, 16000))
+
+
 class TestBasisChange3:
     def test_inverse_pair_product(self):
         m = basis_matrix3(ETA3)
