@@ -299,8 +299,15 @@ def corollary_distribution(s, t, u):
     return OutcomeDistribution(ACTION_LABELS3, BASIS_OUTCOMES[slots])
 
 
-# The strategy of each basis slot (PLAYER_BASIS order), for every player.
-_SLOT_GATES = tuple(SU2Gate(x, y) for x, y in zip(*_strategy_pair(np.eye(4))))
+# The (x, y) strategy of each basis slot (PLAYER_BASIS order), for every player.
+_SLOT_PAIRS = _strategy_pair(np.eye(4))
+
+
+def _slot_grid(players):
+    """Each player's (x, y) slot-gate amplitudes over all 4**players
+    basis-strategy profiles, in itertools.product order of the slots."""
+    grid = np.indices((4,) * players).reshape(players, -1)
+    return [tuple(z[slots] for z in _SLOT_PAIRS) for slots in grid]
 
 
 def su2_of_basis(o, player):
@@ -310,7 +317,8 @@ def su2_of_basis(o, player):
     the player's subalgebra; used to drive the simulation oracle on basis
     strategies.
     """
-    return _SLOT_GATES[basis_slot(player, basis_index(o, player))]
+    slot = basis_slot(player, basis_index(o, player))
+    return SU2Gate(*(z[slot] for z in _SLOT_PAIRS))
 
 
 def landsburg_probs_batch(A, B, P, Q):

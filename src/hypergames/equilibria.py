@@ -22,9 +22,9 @@ from importlib import resources
 import numpy as np
 
 from .coordgame import (
-    _SLOT_GATES,
     BASIS_OUTCOMES,
     PLAYER_BASIS,
+    _slot_grid,
     _strategy_pair,
     basis_index,
     basis_slot,
@@ -34,7 +34,7 @@ from .coordgame import (
     theorem1_probs_batch,
 )
 from .hypercomplex import Octonion
-from .qstate import outcome_labels
+from .qstate import _unit_gaussian_rows, outcome_labels
 from .verify import check_record
 
 # Largest payoff magnitude a game file may hold.  Below it a sum of 16
@@ -249,9 +249,7 @@ def _random_subalgebra_pairs(rng, samples):
     Samples the four quaternion coordinates as normalized Gaussians, then
     inverts the embedding's twist to recover the (A, B) amplitude pair.
     """
-    coords = rng.standard_normal((samples, 4))
-    coords /= np.linalg.norm(coords, axis=1, keepdims=True)
-    return _strategy_pair(coords)
+    return _strategy_pair(_unit_gaussian_rows(rng, samples))
 
 
 def indifference_check(k, game, samples, tol, rng=None):
@@ -269,11 +267,8 @@ def indifference_check(k, game, samples, tol, rng=None):
     rng = np.random.default_rng(rng)
     A, B = _random_subalgebra_pairs(rng, samples)
 
-    # The other two players' 16 basis pairs, one grid of the slot gates (the
-    # same for every player) with the first of them varying slowest.
-    x = np.array([g.x for g in _SLOT_GATES])
-    y = np.array([g.y for g in _SLOT_GATES])
-    pairs = [(x.repeat(4), y.repeat(4)), (np.tile(x, 4), np.tile(y, 4))]
+    # The other two players' 16 basis pairs, the first of them varying slowest.
+    pairs = _slot_grid(2)
     pairs.insert(k - 1, (A[:, None], B[:, None]))
     probs = theorem1_probs_batch(*(z for pair in pairs for z in pair))
     expected = (probs @ payoffs).mean(axis=1)

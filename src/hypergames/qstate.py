@@ -138,6 +138,16 @@ class SU2Gate:
         return "SU2Gate(%r, %r)" % (self.x, self.y)
 
 
+def _unit_gaussian_rows(rng, n):
+    """n rows of 4 standard normals, each scaled in place to unit length, so
+    uniform on the 3-sphere.  The squared norm adds the columns left to
+    right, as np.linalg.norm(axis=1) does, so the rows keep its bits."""
+    v = rng.standard_normal((n, 4))
+    c0, c1, c2, c3 = v.T
+    v /= np.sqrt(c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3)[:, None]
+    return v
+
+
 def flip_gate(eta_value):
     """The flip strategy [[0, eta], [-conj(eta), 0]]; identity is SU2Gate(1, 0)."""
     if abs(abs(eta_value) - 1.0) > 1e-12:

@@ -10,18 +10,9 @@ every command's report carries its checks in that shape, and `records`
 finds them again.
 """
 
-import itertools
-
 import numpy as np
 
-from .coordgame import (
-    PLAYER_BASIS,
-    corollary_distribution,
-    landsburg_probs_batch,
-    su2_of_basis,
-    theorem1_probs_batch,
-)
-from .hypercomplex import Octonion
+from .coordgame import BASIS_OUTCOMES, _slot_grid, landsburg_probs_batch, theorem1_probs_batch
 from .parrondo import (
     block_unitarity_deviation,
     capital_game_stationary,
@@ -31,7 +22,7 @@ from .parrondo import (
     sequence_quantized_gains_batch,
     superposed_games_blocks,
 )
-from .qstate import oracle_probs2_batch, oracle_probs3_batch, su2_matrices
+from .qstate import _unit_gaussian_rows, oracle_probs2_batch, oracle_probs3_batch, su2_matrices
 
 DEFAULT_SAMPLES = {
     "theorem1": 10_000,
@@ -45,9 +36,9 @@ SUITE_NAMES = ("theorem1", "corollary", "landsburg", "parrondo")
 
 def _random_pairs(rng, n):
     """n Haar-uniform SU(2) amplitude pairs as complex column arrays."""
-    v = rng.standard_normal((n, 4))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return v[:, 0] + 1j * v[:, 1], v[:, 2] + 1j * v[:, 3]
+    x, y = np.empty((2, n), dtype=complex)
+    x.real, x.imag, y.real, y.imag = _unit_gaussian_rows(rng, n).T
+    return x, y
 
 
 RECORD_KEYS = ("check", "samples", "tolerance", "max_deviation", "passed")
@@ -118,22 +109,16 @@ def verify_theorem1(samples=None, seed=0, tol=1e-10):
 def verify_corollary(samples=None, seed=0, tol=1e-12):
     """Exhaustive one-hot agreement over all basis-strategy triples.
 
-    The basis reduction runs per triple, as the function under test; the
-    oracle runs once over all triples' gates.
+    The basis reduction is the 64 rows of BASIS_OUTCOMES, the one batched
+    product (s t) u, in itertools.product order of the players' basis
+    slots; the oracle runs once over the same triples' slot gates.
     """
     del samples  # the case count is fixed by the basis
-    probs = []
-    gates = []
-    for triple in itertools.product(*(PLAYER_BASIS[p] for p in (1, 2, 3))):
-        elements = [Octonion.basis(i) for i in triple]
-        probs.append(corollary_distribution(*elements).probs)
-        gates.append([su2_of_basis(o, p) for p, o in enumerate(elements, start=1)])
-    probs = np.array(probs)
+    probs = BASIS_OUTCOMES.reshape(64, 8)
     top = np.sort(probs, axis=1)
     worst_onehot = max(np.max(top[:, :-1].sum(axis=1)), np.max(np.abs(top[:, -1] - 1.0)))
-    amplitudes = np.array([[z for g in row for z in (g.x, g.y)] for row in gates]).T
     # clipped at 0 like the probabilities of an OutcomeDistribution
-    oracle = np.clip(oracle_probs3_batch(*amplitudes), 0.0, None)
+    oracle = np.clip(oracle_probs3_batch(*(z for pair in _slot_grid(3) for z in pair)), 0.0, None)
     worst_oracle = np.max(np.abs(probs - oracle))
     cases = len(probs)
     checks = [
