@@ -81,23 +81,22 @@ def hd_transition_matrix(p):
     )
 
 
-def _hd_terms(p):
-    """Terms of history games whose stationary state and gain are defined.
+def _hd_solve(p):
+    """Stationary states (..., 4) and gains (...) of history games.
 
-    Returns p3, p4, 1 - p1, 1 - p2, y = p4(p3 + 1 - p1) and the stationary
-    normalization.  Both need y > 0.  The normalization is y plus
+    Both need y = p4(p3 + 1 - p1) > 0.  The normalization is y plus
     (1 - p1)(1 - p2 + p4), a sum of nonnegative terms, so it vanishes only
-    where y does; hd_stationary and hd_p_gain reject the same coins.  The
-    complements are formed first, so p3 + (1 - p1) keeps every digit of a
-    small p3 when p1 is near 1.
+    where y does.  The complements are formed first, so p3 + (1 - p1) keeps
+    every digit of a small p3 when p1 is near 1.
     """
     p1, p2, p3, p4 = np.moveaxis(_params(p), -1, 0)
-    n1 = 1.0 - p1
-    n2 = 1.0 - p2
+    n1, n2 = 1.0 - p1, 1.0 - p2
     y = p4 * (p3 + n1)
     if not np.all(y > 0.0):
         raise ValueError("history game undefined: y = p4(p3 + 1 - p1) vanishes")
-    return p3, p4, n1, n2, y, n1 * (2.0 * p4 + n2) + p3 * p4
+    norm = n1 * (2.0 * p4 + n2) + p3 * p4
+    raw = np.stack([p3 * p4, p4 * n1, p4 * n1, n1 * n2], axis=-1)
+    return raw / norm[..., np.newaxis], y / norm
 
 
 def hd_stationary(p):
@@ -105,9 +104,7 @@ def hd_stationary(p):
 
     Takes (..., 4) coins to (..., 4) distributions.
     """
-    p3, p4, n1, n2, _, norm = _hd_terms(p)
-    raw = np.stack([p3 * p4, p4 * n1, p4 * n1, n1 * n2], axis=-1)
-    return raw / norm[..., np.newaxis]
+    return _hd_solve(p)[0]
 
 
 def hd_p_gain(p):
@@ -118,8 +115,7 @@ def hd_p_gain(p):
     p3 p4.  The game is losing, fair, or winning as x is positive, zero, or
     negative.
     """
-    *_, y, norm = _hd_terms(p)
-    return y / norm
+    return _hd_solve(p)[1]
 
 
 def _fixed_point_residual(matrix, stationary):
@@ -138,16 +134,20 @@ def hd_params_reversed(p):
     return HDGameParams(*(float(v) for v in _params(p)[::-1]))
 
 
+def _capital_coins(p1, p2):
+    p1, p2 = float(p1), float(p2)
+    if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
+        raise ValueError("coin probabilities must lie in [0, 1]")
+    return p1, p2
+
+
 def capital_transition_matrix(p1, p2):
     """Column-stochastic matrix of the capital game on residues mod 3.
 
     Coin p1 plays when the capital is divisible by 3, coin p2 otherwise; a
     win adds one unit of capital, a loss removes one.
     """
-    p1, p2 = float(p1), float(p2)
-    for v in (p1, p2):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError("coin probabilities must lie in [0, 1]")
+    p1, p2 = _capital_coins(p1, p2)
     return np.array(
         [
             [0.0, 1.0 - p2, p2],
@@ -158,17 +158,18 @@ def capital_transition_matrix(p1, p2):
 
 
 def capital_game_stationary(p1, p2):
-    """Stationary distribution of the capital chain, 1-norm normalized."""
-    t = capital_transition_matrix(p1, p2)
-    u, s, vh = np.linalg.svd(t - np.eye(3))
-    null_mask = s < 1e-10
-    if np.count_nonzero(null_mask) != 1:
-        raise ValueError("chain has no unique stationary state")
-    pi = vh[-1].real
-    pi = pi / pi.sum()
-    if np.min(pi) < -1e-12:
-        raise ValueError("chain has no unique stationary state")
-    return np.clip(pi, 0.0, None)
+    """Stationary distribution of the capital chain, in closed form.
+
+    Entry i is the principal minor of I - T without row and column i, over
+    the sum of the three.  T is column-stochastic, so each row of adj(I - T)
+    is constant and each column solves (I - T)x = 0: its diagonal, those
+    minors, is a stationary state.  For coins in [0, 1] no minor is negative
+    and the first, 1 - p2(1 - p2), is at least 3/4, so I - T has rank 2 and
+    the stationary state is unique.
+    """
+    p1, p2 = _capital_coins(p1, p2)
+    minors = np.array([1.0 - p2 * (1.0 - p2), 1.0 - p2 * (1.0 - p1), 1.0 - p1 * (1.0 - p2)])
+    return minors / minors.sum()
 
 
 def capital_chain(p1, p2):
@@ -314,13 +315,23 @@ def proper_initial_state(pi):
     pi = np.asarray(pi, dtype=float)
     if pi.shape[-1:] != (4,):
         raise ValueError("expected 4 history weights")
-    if np.any(pi < 0.0):
+    if not np.all(pi >= 0.0):
         raise ValueError("history weights must be nonnegative")
     if np.any(pi.sum(axis=-1) <= 0.0):
         raise ValueError("history weights must not all vanish")
     amps = np.zeros(pi.shape[:-1] + (8,))
     amps[..., 0::2] = np.sqrt(pi)
     return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+
+
+def _unit_rows(v, size, what):
+    """v as complex (..., size) rows, each of unit norm."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape[-1:] != (size,):
+        raise ValueError("%s must have %d amplitudes" % (what, size))
+    if not (np.abs(np.linalg.norm(v, axis=-1) - 1.0) <= 1e-9).all():
+        raise ValueError("%s must have unit norm" % what)
+    return v
 
 
 def quantized_p_gain_batch(blocks, init, win_qubit_value):
@@ -332,12 +343,7 @@ def quantized_p_gain_batch(blocks, init, win_qubit_value):
     """
     if win_qubit_value not in (0, 1):
         raise ValueError("win_qubit_value must be 0 or 1")
-    init = np.asarray(init, dtype=complex)
-    if init.shape[-1:] != (8,):
-        raise ValueError("initial state must have 8 amplitudes")
-    if np.any(np.abs(np.linalg.norm(init, axis=-1) - 1.0) > 1e-9):
-        raise ValueError("initial state must have unit norm")
-    out = apply_blocks(blocks, init)
+    out = apply_blocks(blocks, _unit_rows(init, 8, "initial state"))
     return np.sum(np.abs(out[..., win_qubit_value::2]) ** 2, axis=-1)
 
 
@@ -347,20 +353,23 @@ def quantized_p_gain(m, init, win_qubit_value):
     return float(quantized_p_gain_batch(*batch_of_one(m.array, init), win_qubit_value)[0])
 
 
+def _quantized_gains(p, blocks):
+    """Classical gains of history coins (..., 4) and the gains of each named
+    multiplexer, applied once to the coins' stationary-weighted embedded
+    state; one solve of the chain serves all of them."""
+    stationary, classical = _hd_solve(p)
+    init = proper_initial_state(stationary)
+    return classical, {k: quantized_p_gain_batch(b, init, 0) for k, b in blocks.items()}
+
+
 def proper_quantized_gains_batch(p):
     """Classical gains of history games and of their two proper quantizations.
 
-    Returns (classical, {TYPE1: gains, TYPE2: gains}) for (..., 4) coins.
-    Each quantization applies the coins' multiplexer once to the
-    stationary-weighted embedded state; being proper, both reproduce the
-    classical gain.
+    Returns (classical, {TYPE1: gains, TYPE2: gains}) for (..., 4) coins;
+    being proper, both quantizations reproduce the classical gain.
     """
-    classical = hd_p_gain(p)
-    init = proper_initial_state(hd_stationary(p))
-    return classical, {
-        kind: quantized_p_gain_batch(coin_blocks(p, CoinEmbedding(kind)), init, 0)
-        for kind in (TYPE1, TYPE2)
-    }
+    blocks = {kind: coin_blocks(p, CoinEmbedding(kind)) for kind in (TYPE1, TYPE2)}
+    return _quantized_gains(p, blocks)
 
 
 def proper_quantized_gains(p):
@@ -411,33 +420,20 @@ def sequence_quantized_gains_batch(r, paramsA, paramsB):
     otherwise, and of their two quantizations.
 
     Returns (classical, {"superposed": gains, "second_quantization": gains})
-    for (...) weights and (..., 4) coins, each quantization applied once to
-    the mixed coins' stationary-weighted embedded state.
+    for (...) weights and (..., 4) coins, both on the mixed coins' chain.
     """
     mixed = _mixed_params(r, paramsA, paramsB)
-    init = proper_initial_state(hd_stationary(mixed))
     blocks = {
         "superposed": superposed_games_blocks(r, paramsA, paramsB),
         "second_quantization": coin_blocks(mixed, CoinEmbedding(TYPE1)),
     }
-    return hd_p_gain(mixed), {
-        k: quantized_p_gain_batch(b, init, 0) for k, b in blocks.items()
-    }
+    return _quantized_gains(mixed, blocks)
 
 
 def sequence_quantized_gains(r, paramsA, paramsB):
     """sequence_quantized_gains_batch for one weight and coin pair, as floats."""
     classical, gains = sequence_quantized_gains_batch(*batch_of_one(r, paramsA, paramsB))
     return float(classical[0]), {k: float(g[0]) for k, g in gains.items()}
-
-
-def _unit_qubits(q):
-    q = np.asarray(q, dtype=complex)
-    if q.shape[-1:] != (2,):
-        raise ValueError("qubit states need exactly 2 amplitudes")
-    if np.any(np.abs(np.linalg.norm(q, axis=-1) - 1.0) > 1e-9):
-        raise ValueError("qubit states must have unit norm")
-    return q
 
 
 def fna_p_win_batch(blocks, q1, q2, q3):
@@ -449,7 +445,7 @@ def fna_p_win_batch(blocks, q1, q2, q3):
     result-qubit amplitudes mix with the coins, so each probability is a
     short weighted sum.
     """
-    q1, q2, q3 = (_unit_qubits(q) for q in (q1, q2, q3))
+    q1, q2, q3 = (_unit_rows(q, 2, "qubit states") for q in (q1, q2, q3))
     x, y = blocks[..., 0, 0], blocks[..., 0, 1]
     loss_to_win = (
         np.abs(np.conj(x) * q3[..., 1, np.newaxis] - np.conj(y) * q3[..., 0, np.newaxis]) ** 2
@@ -519,8 +515,7 @@ def parrondo_effect_check(epsilon):
 
     # The inequality parameters use the loss-first letter order; reverse
     # them for the gain-first p_gain formula.
-    p_gain_b = hd_p_gain(hd_params_reversed(alpha))
-    p_gain_mixture = hd_p_gain(hd_params_reversed(q))
+    p_gain_b, p_gain_mixture = hd_p_gain([hd_params_reversed(alpha), hd_params_reversed(q)])
     return {
         "epsilon": epsilon,
         "single_coin_gain": p,

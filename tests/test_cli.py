@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypergames
-from hypergames import verify
+from hypergames import parrondo, verify
 from hypergames.cli import InputError, main, parse_strategy
 from hypergames.qstate import ACTION_LABELS3, outcome_labels
 
@@ -589,14 +589,14 @@ def test_reader_closing_the_pipe_is_no_traceback(lines_read):
 
 
 def test_capital_command_solves_the_chain_once(capsys, monkeypatch):
-    svd = np.linalg.svd
+    solve = parrondo.capital_game_stationary
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return svd(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(parrondo, "capital_game_stationary", counted)
     code, _, _ = run_cli(capsys, "parrondo", "--game", "capital", "--p1", "0.3", "--p2", "0.625")
     assert code == 0
     assert len(calls) == 1

@@ -14,6 +14,7 @@ from hypergames.parrondo import (
     CoinEmbedding,
     HDGameParams,
     Multiplexer3,
+    capital_chain,
     capital_game_stationary,
     capital_p_gain,
     capital_transition_matrix,
@@ -193,10 +194,22 @@ class TestCapitalChain:
             assert np.max(np.abs(t @ pi - pi)) < 1e-12
             powered = np.linalg.matrix_power(t, 400)[:, 0]
             np.testing.assert_allclose(pi, powered, atol=1e-9)
+            np.testing.assert_allclose(pi, stationary_by_nullspace(t), atol=1e-12)
+
+    @pytest.mark.parametrize("p1, p2", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+    def test_stationary_at_corner_coins(self, p1, p2):
+        # Every corner chain is periodic, so powers of T do not converge;
+        # the stationary state is still unique and is the null-space solve.
+        t = capital_transition_matrix(p1, p2)
+        pi = capital_game_stationary(p1, p2)
+        assert np.max(np.abs(t @ pi - pi)) < 1e-12
+        assert np.all(pi >= 0.0) and abs(pi.sum() - 1.0) <= 1e-15
+        np.testing.assert_allclose(pi, stationary_by_nullspace(t), atol=1e-12)
 
     def test_p_gain_game_b_is_fair(self):
         assert abs(capital_p_gain(0.1, 0.75) - 0.5) < 1e-12
         assert classify_gain(capital_p_gain(0.1, 0.75)) == "fair"
+        assert capital_p_gain(0.1, 0.75) == 0.5
 
     def test_p_gain_mixture_is_winning(self):
         gain = capital_p_gain(0.3, 0.625)
@@ -206,6 +219,16 @@ class TestCapitalChain:
     def test_out_of_range_coin(self):
         with pytest.raises(ValueError):
             capital_transition_matrix(1.2, 0.5)
+
+    @pytest.mark.parametrize(
+        "p1, p2", [(1.2, 0.5), (0.5, -0.1), (np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5)]
+    )
+    @pytest.mark.parametrize(
+        "fn", [capital_transition_matrix, capital_game_stationary, capital_p_gain, capital_chain]
+    )
+    def test_bad_coin_raises_one_message(self, fn, p1, p2):
+        with pytest.raises(ValueError, match=r"^coin probabilities must lie in \[0, 1\]$"):
+            fn(p1, p2)
 
 
 class TestClassifyGain:
@@ -317,6 +340,10 @@ class TestProperQuantization:
             proper_initial_state([0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             proper_initial_state([0.5, 0.5])
+
+    def test_initial_state_rejects_nan_weights(self):
+        with pytest.raises(ValueError, match="history weights must be nonnegative"):
+            proper_initial_state([np.nan, 0.25, 0.25, 0.5])
 
     def test_output_state_structure_type1(self):
         rng = np.random.default_rng(RNG_SEED + 8)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hypergames import verify
+from hypergames import parrondo, verify
 from hypergames.parrondo import (
     TYPE1,
     TYPE2,
@@ -20,6 +20,7 @@ from hypergames.parrondo import (
     hd_p_gain,
     hd_stationary,
     mux_from_coins,
+    parrondo_effect_check,
     proper_initial_state,
     proper_quantized_gains,
     proper_quantized_gains_batch,
@@ -174,3 +175,39 @@ def test_batched_bad_coin_row_raises_the_scalar_error(bad):
         with pytest.raises(ValueError) as batched:
             (proper_quantized_gains_batch if fn is proper_quantized_gains else fn)(coins)
         assert str(batched.value) == str(scalar.value)
+
+
+def test_nan_states_raise(batch):
+    coins, _, _, _, blocks, qubits = batch
+    init = proper_initial_state(hd_stationary(coins)).astype(complex)
+    init[5, 2] = np.nan
+    with pytest.raises(ValueError, match="initial state must have unit norm"):
+        quantized_p_gain_batch(coin_blocks(coins, CoinEmbedding(TYPE1)), init, 0)
+    for k in range(3):
+        bad = [q.copy() for q in qubits]
+        bad[k][7, 1] = np.nan
+        for fn in (fna_p_win_batch, fna_p_win_pair_batch):
+            with pytest.raises(ValueError, match="qubit states must have unit norm"):
+                fn(blocks, *bad)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda coins, r, pa, pb: proper_quantized_gains_batch(coins),
+        lambda coins, r, pa, pb: sequence_quantized_gains_batch(r, pa, pb),
+        lambda coins, r, pa, pb: parrondo_effect_check(0.005),
+    ],
+)
+def test_each_kernel_solves_the_history_chain_once(batch, kernel, monkeypatch):
+    solve = parrondo._hd_solve
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return solve(p)
+
+    monkeypatch.setattr(parrondo, "_hd_solve", counted)
+    coins, r, pa, pb, _, _ = batch
+    kernel(coins, r, pa, pb)
+    assert len(calls) == 1
