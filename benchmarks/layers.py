@@ -24,6 +24,22 @@ run whose report must pass.  The CLI cold start is a fresh interpreter
 running ``python -m hypergames.cli verify --suite corollary``, which must
 exit 0; its faults are those of the child processes.
 
+Two entries repeat a perfbench operation, each in a fresh interpreter
+(``--entry NAME``), so the heap history and the page faults are those of
+perfbench's loop rather than of the calls timed before them here:
+``sweep_op`` runs the four calls of a ``sweep`` operation on SWEEP_POOL
+batches of SWEEP_BATCH profiles, and ``equilibrium_op`` runs
+``expected_payoff_mixture``, ``indifference_check`` and
+``classical_pure_scan`` on each (bundled table, player) pair in a seeded
+order.  Two untimed warm-up operations go first, so that the faults are
+those of the loop's steady state and not of the heap's first growth.  As
+in perfbench, each operation runs while the previous one's results are
+alive, and an untimed gate follows it: for ``sweep_op`` the closed forms
+within 1e-10 of their oracles and the oracle rows summing to 1, for
+``equilibrium_op`` a passed report and the closed form against the oracle
+on 4 fresh strategies of the player in the same (n, 1) x 16 broadcast.
+Their faults are counted over the operations alone.
+
 Each entry holds the median and the interquartile range of the wall-clock
 seconds per call over its repeats, after one untimed warm-up call, and the
 minor page faults per call (``getrusage``).  Each call runs while the
@@ -68,6 +84,10 @@ INDIFFERENCE_REPEATS = 21
 SCALAR_REPEATS = 501
 COLD_START_REPEATS = 9
 COLD_START_ARGV = ("verify", "--suite", "corollary")
+SWEEP_BATCH = 16384
+SWEEP_POOL = 4
+TABLES = ("poker_printed", "poker_zero_sum_corrected", "dilemma_printed")
+FRESH_REPEATS = {"sweep_op": 101, "equilibrium_op": 301}
 ROUNDS = 28
 SEED = 3
 TOL = 1e-10
@@ -119,6 +139,100 @@ def cli_cold_start(src):
         [sys.executable, "-m", "hypergames.cli", *COLD_START_ARGV],
         check=True, stdout=subprocess.DEVNULL, cwd=src, env=dict(os.environ, PYTHONPATH=src),
     )
+
+
+def sweep_op(rng):
+    """perfbench's sweep operations: (operations, run, gate)."""
+    from hypergames.coordgame import landsburg_probs_batch, theorem1_probs_batch
+    from hypergames.qstate import oracle_probs2_batch, oracle_probs3_batch
+
+    def run(op):
+        return (theorem1_probs_batch(*op), oracle_probs3_batch(*op),
+                landsburg_probs_batch(*op[:4]), oracle_probs2_batch(*op[:4]))
+
+    def gate(op, result):
+        closed3, oracle3, closed2, oracle2 = result
+        return (np.all(np.abs(closed3 - oracle3) < TOL)
+                and np.all(np.abs(closed2 - oracle2) < TOL)
+                and np.all(np.abs(oracle3.sum(axis=1) - 1.0) < 1e-9)
+                and np.all(np.abs(oracle2.sum(axis=1) - 1.0) < 1e-9))
+
+    return [haar_profiles(rng, SWEEP_BATCH) for _ in range(SWEEP_POOL)], run, gate
+
+
+def equilibrium_op(rng):
+    """perfbench's equilibrium operations: (operations, run, gate)."""
+    from hypergames.coordgame import _slot_grid, theorem1_probs_batch
+    from hypergames.equilibria import (
+        builtin_games,
+        classical_pure_scan,
+        expected_payoff_mixture,
+        indifference_check,
+        special_distribution,
+    )
+    from hypergames.qstate import oracle_probs3_batch
+
+    games = builtin_games()
+    mixtures = [special_distribution(k) for k in (1, 2, 3)]
+    pairs = [(table, k) for table in TABLES for k in (1, 2, 3)]
+    ops = []
+    for _ in range(4):
+        for i in rng.permutation(len(pairs)):
+            a, b = haar_profiles(rng, 4)[:2]
+            ops.append((*pairs[i], int(rng.integers(2**32)), (a[:, None], b[:, None])))
+
+    def run(op):
+        table, k, seed, _ = op
+        game = games[table]
+        return (expected_payoff_mixture(k, *mixtures, game=game),
+                indifference_check(k, game, INDIFFERENCE_SAMPLES, TOL, rng=seed),
+                classical_pure_scan(game))
+
+    def gate(op, result):
+        _, k, _, spot = op
+        profiles = _slot_grid(2)
+        profiles.insert(k - 1, spot)
+        args = [z for pair in profiles for z in pair]
+        deviation = np.max(np.abs(theorem1_probs_batch(*args) - oracle_probs3_batch(*args)))
+        return result[1]["passed"] and deviation < TOL
+
+    return ops, run, gate
+
+
+FRESH_ENTRIES = {"sweep_op": sweep_op, "equilibrium_op": equilibrium_op}
+
+
+def fresh_entry(name):
+    """Seconds per operation of one perfbench loop in this process."""
+    ops, run, gate = FRESH_ENTRIES[name](np.random.default_rng(SEED))
+    result = run(ops[-2])
+    result = run(ops[-1])
+    times, faults = [], 0
+    for i in range(FRESH_REPEATS[name]):
+        op = ops[i % len(ops)]
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        result = run(op)  # the previous result is alive until this returns
+        times.append(time.perf_counter() - start)
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        if not gate(op, result):
+            raise SystemExit("%s gate failed at operation %d" % (name, i))
+    q25, q50, q75 = np.percentile(times, [25, 50, 75])
+    return {
+        "median_s": float(q50),
+        "iqr_s": float(q75 - q25),
+        "repeats": len(times),
+        "minor_faults_per_call": faults / len(times),
+    }
+
+
+def run_fresh(src, name):
+    """One fresh process running fresh_entry(name) on the package at src."""
+    done = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--src", src, "--entry", name],
+        check=True, capture_output=True, text=True,
+    )
+    return json.loads(done.stdout)
 
 
 def measure(src):
@@ -216,6 +330,7 @@ def measure(src):
             "landsburg_probs": seconds_per_call(landsburg_probs, one[:4], SCALAR_REPEATS),
         },
         "verify_suites": verify_suites(),
+        "fresh_process": {name: run_fresh(src, name) for name in FRESH_ENTRIES},
         "cli_cold_start": seconds_per_call(
             cli_cold_start, (src,), COLD_START_REPEATS, resource.RUSAGE_CHILDREN),
         "seed": SEED,
@@ -320,11 +435,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"))
     parser.add_argument("--parent", help="src of the parent tree: measure both")
+    parser.add_argument("--entry", choices=sorted(FRESH_ENTRIES),
+                        help="print one perfbench-loop entry, measured in this process")
     args = parser.parse_args(argv)
     if args.parent is None:
         src = os.path.abspath(args.src)
         sys.path.insert(0, src)
-        records = measure(src)
+        records = fresh_entry(args.entry) if args.entry else measure(src)
     else:
         records = paired(args.parent, args.src)
     print(json.dumps(records, indent=2))

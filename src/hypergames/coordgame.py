@@ -34,6 +34,7 @@ from .qstate import (
     OutcomeDistribution,
     SU2Gate,
     batch_of_one,
+    block_buffer,
     check_unit_pairs,
     in_blocks,
     normalized,
@@ -133,17 +134,22 @@ class OctStrategyFamily:
 def _embed(player, A, B):
     """Embedded coefficients, shape (..., 8), of stacked strategy pairs.
 
-    Stored coordinate-first, so each coordinate is one contiguous array.
+    Stored coordinate-first, so each coordinate is one contiguous array; the
+    support rows of each block are copied out of its embedding buffer.
     """
     if player not in SUBALGEBRA_UNITS:
         raise ValueError("player must be 1, 2, or 3, got %r" % (player,))
-    shape, _, blocks = _embedded_blocks(math.inf, [(A, B)], [player], [_TWIST3])
-    ((embedded, _),) = blocks
-    return coordinate_last(embedded[0].reshape((8,) + shape))
+    shape, _, blocks = _embedded_blocks(_WIDTH3, [(A, B)], [player], [_TWIST3])
+    c = np.zeros((8, math.prod(shape)))
+    for factors, cols in blocks:
+        for k in PLAYER_BASIS[player]:
+            c[k, cols] = factors[0, k]
+    return coordinate_last(c.reshape((8,) + shape))
 
 
 _TWIST3 = complex(SQRT3 / 2.0, 0.5)  # e^(i pi/6), B's twist for 3 players
 _CLOSED_ENTRIES = 2**15  # probability entries per closed-form block, by measurement
+_WIDTH3 = _CLOSED_ENTRIES // 8  # 3-player profiles per block
 
 
 def _strategy_pair(c):
@@ -159,11 +165,13 @@ def _embedded_blocks(width, pairs, players, twists):
     """The batch shape of strategy pairs, checked once, the most profiles in
     a block, and per in_blocks block (factors, columns): the (players, 8, n)
     embeddings, A on coordinates 0 and 1 and B times the twist on the
-    player's other two units, in one buffer sized once, zero elsewhere."""
+    player's other two units.  factors is a view of block_buffer slot 0:
+    only the players' support rows are written, and no product reads the
+    others."""
     pairs = [tuple(np.asarray(z, dtype=complex) for z in pair) for pair in pairs]
     check_unit_pairs(*pairs)
     shape, largest, blocks = in_blocks(width, *(z for pair in pairs for z in pair))
-    buffer = np.zeros((len(pairs), 8, largest))
+    buffer = block_buffer(0, (len(pairs), 8), largest, width)
 
     def embedded():
         for block, block_shape, cols in blocks:
@@ -210,11 +218,12 @@ def _theorem1_probs(shape, largest, blocks):
     the squared projections of the s+ and s- products.  Every product runs
     on the players' four-coordinate supports and forms only the outputs
     read; s+ and s- share one first product, and the second product puts
-    their halves on one axis.  All blocks and both routes reuse one set of
-    buffers, and the halves are squared in place.
+    their halves on one axis.  All blocks and both routes reuse the same
+    three block_buffers, slots 1 to 3, and the halves are squared in place.
     """
     probs = np.empty((8, math.prod(shape)))
-    buffers = np.empty((8, largest)), np.empty((4, 2, largest)), np.empty(largest)
+    buffers = [block_buffer(slot, rows, largest, _WIDTH3)
+               for slot, rows in ((1, (8,)), (2, (4, 2)), (3, ()))]
     for (s, t, u), cols in blocks:
         first, halves, term = (b[..., : cols.stop - cols.start] for b in buffers)
         for first_rows, second_rows, columns in _ROUTES:
@@ -244,7 +253,7 @@ def theorem1_probs_batch(A, B, P, Q, E, F):
     order, matching qstate.oracle_probs3_batch for easy comparison.
     """
     pairs = ((A, B), (P, Q), (E, F))
-    return _theorem1_probs(*_embedded_blocks(_CLOSED_ENTRIES // 8, pairs, (1, 2, 3), [_TWIST3] * 3))
+    return _theorem1_probs(*_embedded_blocks(_WIDTH3, pairs, (1, 2, 3), [_TWIST3] * 3))
 
 
 def basis_index(o, player):
@@ -331,9 +340,10 @@ def landsburg_probs_batch(A, B, P, Q):
     ACTION_LABELS2 order, matching qstate.oracle_probs2_batch.
     """
     pairs = ((A, B), (P, np.conj(Q)))
-    shape, largest, blocks = _embedded_blocks(_CLOSED_ENTRIES // 4, pairs, (1, 1), (ETA2, -ETA2))
+    width = _CLOSED_ENTRIES // 4
+    shape, largest, blocks = _embedded_blocks(width, pairs, (1, 1), (ETA2, -ETA2))
     probs = np.empty((4, math.prod(shape)))
-    term = np.empty(largest)
+    term = block_buffer(1, (), largest, width)
     for (left, right), cols in blocks:
         p = gather_mul(left, right, _QUATERNION_ROWS, probs[:, cols], term[: left.shape[-1]])
         np.square(p, out=p)

@@ -187,7 +187,9 @@ def capital_p_gain(p1, p2):
 
 
 def classify_gain(p_gain, tol=1e-12):
-    """Label a gain probability as winning, fair, or losing."""
+    """Label a gain probability as winning, fair, or losing; NaN raises."""
+    if np.isnan(p_gain):
+        raise ValueError("gain probability must not be NaN")
     if p_gain > 0.5 + tol:
         return "winning"
     if p_gain < 0.5 - tol:
@@ -317,6 +319,8 @@ def proper_initial_state(pi):
         raise ValueError("expected 4 history weights")
     if not np.all(pi >= 0.0):
         raise ValueError("history weights must be nonnegative")
+    if not np.all(np.isfinite(pi)):
+        raise ValueError("history weights must be finite")
     if np.any(pi.sum(axis=-1) <= 0.0):
         raise ValueError("history weights must not all vanish")
     amps = np.zeros(pi.shape[:-1] + (8,))

@@ -17,6 +17,7 @@ columns have norm sqrt(2)) never affect any reported probability.
 import functools
 import itertools
 import math
+import threading
 
 import numpy as np
 
@@ -78,15 +79,16 @@ def su2_matrices(x, y):
     return m
 
 
-def _entangled_rows(*gates):
+def _entangled_rows(*gates, out=None):
     """Each player's SU(2) gate applied to the entangled start |0..0> + |1..1>.
 
     gates holds one amplitude pair (x, y) per player, two or more, the gate
     U = [[x, y], [-conj(y), conj(x)]], as scalars or broadcastable arrays.
     Returns the unnormalized state coordinate-first, shape (2**n, ...), with
-    player 1 on the most significant qubit.  Entry (r_1..r_n) is
-    prod_k U_k[r_k, 1] + prod_k U_k[r_k, 0]; the second product reads
-    conj(y) for U[1, 0] and is subtracted when an odd number of the r_k are 1.
+    player 1 on the most significant qubit, in out if it is given.  Entry
+    (r_1..r_n) is prod_k U_k[r_k, 1] + prod_k U_k[r_k, 0]; the second
+    product reads conj(y) for U[1, 0] and is subtracted when an odd number of
+    the r_k are 1.
     """
     if len(gates) < 2:
         raise ValueError("the entangled start needs two or more players")
@@ -95,8 +97,9 @@ def _entangled_rows(*gates):
     for x, y in gates:
         x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
         rows.append(((x, y), (np.conj(y), np.conj(x))))
-    shape = np.broadcast(*(a for row in rows for a in row[0])).shape
-    out = np.empty((2 ** len(rows),) + shape, dtype=complex)
+    if out is None:
+        shape = np.broadcast(*(a for row in rows for a in row[0])).shape
+        out = np.empty((2 ** len(rows),) + shape, dtype=complex)
     # (count of 1s, both products) over all players but the last, each
     # shared by the two entries that extend it; factors go in player order.
     heads = list(enumerate(rows[0]))
@@ -199,10 +202,11 @@ def _basis_change(players, eta_value):
     return cd
 
 
-def _two_term(v, c, d):
-    """c*v + d*v[::-1] along the leading (coordinate) axis of v."""
-    w = c * v
-    w += d * v[::-1]
+def _two_term(v, c, d, out=None, term=None):
+    """c*v + d*v[::-1] along the leading (coordinate) axis of v; out and
+    term, shaped as v, may be passed in to hold the sum and d*v[::-1]."""
+    w = np.multiply(c, v, out=out)
+    w += np.multiply(d, v[::-1], out=term)
     return w
 
 
@@ -310,6 +314,40 @@ def in_blocks(width, *arrays):
     return shape, rows * row, (block(start) for start in range(0, shape[0], rows))
 
 
+class _KeptSlots(threading.local):
+    """Each thread's block scratch: flat float64 storage by slot number."""
+
+    def __init__(self):
+        self.slots = {}
+
+
+_KEPT = _KeptSlots()
+
+
+def block_buffer(slot, rows, largest, width, dtype=float):
+    """A (*rows, largest) scratch buffer for a kernel's blocks.
+
+    largest and width are those of the kernel's in_blocks call.  A kernel
+    numbers its buffers from slot 0.  Each buffer is a view of storage that
+    the calling thread keeps for that slot and grows on demand, up to the
+    size of width columns, so every kernel call in the thread reuses the
+    memory that the one before it has just used: a loop of calls faults no
+    fresh pages in.  A batch with a leading row longer than width gets a
+    buffer of its own, which is not kept.  Its contents are garbage on entry
+    and dead when the kernel returns, and nothing a kernel returns may be a
+    view of it.
+    """
+    shape = rows + (largest,)
+    if largest > width:
+        return np.empty(shape, dtype)
+    kept = _KEPT.slots
+    storage = kept.get(slot)
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if storage is None or storage.nbytes < nbytes:
+        storage = kept[slot] = np.empty(nbytes // 8)
+    return np.ndarray(shape, dtype, storage)
+
+
 def normalized(p, shape):
     """Coordinate-first probabilities p, (rows, size), over their column sums,
     coordinate-last: shape + (rows,).  The rows are added one at a time, so
@@ -318,20 +356,27 @@ def normalized(p, shape):
     return p.T.reshape(shape + (len(p),))
 
 
-# State entries per oracle block: 256 KiB of rows, reused in cache, not faulted.
+# State entries per oracle block: 256 KiB of complex rows.  Its block_buffer
+# holds three such blocks: the state, its basis change and one term.
 _BLOCK_ENTRIES = 2**14
 
 
 def _oracle_probs(gates, eta_value):
     """Born-rule probabilities of the literal state in the action basis, by
-    in_blocks of the batch; the coordinate-last view, (..., 2**n)."""
+    in_blocks of the batch; the coordinate-last view, (..., 2**n).  The
+    state, its basis change and the d*v[::-1] term of each block are written
+    into one block_buffer."""
     check_unit_pairs(*gates)
     c, d = _basis_change(len(gates), complex(eta_value))
-    shape, _, blocks = in_blocks(_BLOCK_ENTRIES // len(c), *(a for gate in gates for a in gate))
+    width = _BLOCK_ENTRIES // len(c)
+    shape, largest, blocks = in_blocks(width, *(a for gate in gates for a in gate))
     p = np.empty((len(c), math.prod(shape)))
-    for block, _, cols in blocks:
-        v = _entangled_rows(*zip(block[::2], block[1::2])).reshape(len(c), -1)
-        w = _two_term(v, c, d).view(float)
+    buffer = block_buffer(0, (3, len(c)), largest, width, complex)
+    for block, block_shape, cols in blocks:
+        state, changed, term = buffer[..., : cols.stop - cols.start]
+        state_rows = state.reshape(state.shape[:1] + block_shape)
+        _entangled_rows(*zip(block[::2], block[1::2]), out=state_rows)
+        w = _two_term(state, c, d, changed, term).view(float)
         np.square(w, out=w)
         np.add(w[:, ::2], w[:, 1::2], out=p[:, cols])
     return normalized(p, shape)

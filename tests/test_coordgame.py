@@ -1,3 +1,8 @@
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -219,6 +224,118 @@ class TestScalarEntryPointsAreBatchRows:
             assert np.array_equal(landsburg_probs(*three[:4]).probs, closed2[k])
             assert np.array_equal(oracle_distribution3(*three).probs, oracle3[k])
             assert np.array_equal(oracle_distribution2(*three[:4]).probs, oracle2[k])
+
+
+def basis_pair_args(a, b):
+    """indifference_check's broadcast: (n, 1) pairs of player 1 against the
+    16 basis pairs of players 2 and 3."""
+    return [a[:, None], b[:, None]] + [z for pair in coordgame._slot_grid(2) for z in pair]
+
+
+class TestBufferContract:
+    """Block buffers are kept per thread; no result is a view of one."""
+
+    def test_embed3_families_keep_their_coefficients(self):
+        rng = np.random.default_rng(101)
+        a, b = unit_pairs(rng, 2)
+        first = embed3(1, a[0], b[0])
+        saved = first.o00.c.copy()
+        second = embed3(1, a[1], b[1])
+        assert np.array_equal(first.o00.c, saved)
+        assert not np.array_equal(second.o00.c, saved)
+
+    def test_earlier_results_survive_later_calls(self):
+        rng = np.random.default_rng(103)
+        a, b = unit_pairs(rng, 100_000)
+        p, q = unit_pairs(rng, 100_000)
+        e, f = unit_pairs(rng, 100_000)
+        batches = (
+            [z[:1] for z in (a, b, p, q, e, f)],
+            basis_pair_args(a[:300], b[:300]),
+            [a, b, p, q, e, f],
+        )
+        kernels = (
+            (theorem1_probs_batch, 6),
+            (oracle_probs3_batch, 6),
+            (landsburg_probs_batch, 4),
+            (oracle_probs2_batch, 4),
+            (lambda a, b: _embed(2, a, b), 2),
+        )
+        results = [kernel(*args[:arity]) for args in batches for kernel, arity in kernels]
+        saved = [r.copy() for r in results]
+        kept = list(qstate._KEPT.slots.values())
+        for result, copy in zip(results, saved):
+            assert np.array_equal(result, copy)
+            assert not any(np.shares_memory(result, buffer) for buffer in kept)
+
+    def test_threads_get_their_serial_results(self):
+        # Four threads, two per input, run both kernels at once; numpy lets
+        # go of the interpreter lock inside each array operation, and a short
+        # switch interval interleaves the Python between them too.
+        rng = np.random.default_rng(107)
+        flat = [z for _ in range(3) for z in unit_pairs(rng, 20000)]
+        broadcast = basis_pair_args(*unit_pairs(rng, 1000))
+        inputs = (flat, broadcast, flat, broadcast)
+        serial = [(theorem1_probs_batch(*args), oracle_probs3_batch(*args)) for args in inputs]
+        start = threading.Barrier(len(inputs), timeout=60)
+
+        def loop(args):
+            start.wait()
+            return [(theorem1_probs_batch(*args), oracle_probs3_batch(*args)) for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(inputs)) as pool:
+                runs = [pool.submit(loop, args) for args in inputs]
+                results = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        for (closed, oracle), repeats in zip(serial, results):
+            for got_closed, got_oracle in repeats:
+                assert np.array_equal(got_closed, closed)
+                assert np.array_equal(got_oracle, oracle)
+
+    def test_wide_rows_are_correct_and_not_kept(self):
+        # Rows of 3 widths: every block is one row longer than the width.
+        rng = np.random.default_rng(109)
+        width3, width2 = coordgame._WIDTH3, coordgame._CLOSED_ENTRIES // 4
+        for kernel, oracle, arity, slot_sizes in (
+            (theorem1_probs_batch, oracle_probs3_batch, 6,
+             {0: 24 * width3, 1: 8 * width3, 2: 8 * width3, 3: width3}),
+            (landsburg_probs_batch, oracle_probs2_batch, 4, {0: 16 * width2, 1: width2}),
+        ):
+            width = width3 if arity == 6 else width2
+            args = [z.reshape(2, 3 * width) for _ in range(arity // 2)
+                    for z in unit_pairs(rng, 6 * width)]
+
+            def calls():
+                wide = kernel(*args), dict(qstate._KEPT.slots)
+                return wide, kernel(*(z.reshape(-1) for z in args)), dict(qstate._KEPT.slots)
+
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                (got, kept_wide), flat, kept = pool.submit(calls).result()
+            assert kept_wide == {}
+            assert np.array_equal(got, flat.reshape(got.shape))
+            assert np.max(np.abs(got - oracle(*args))) < 1e-10
+            # The flat batch ran in blocks of the width; so much is kept.
+            assert {slot: storage.size for slot, storage in kept.items()} == slot_sizes
+
+    def test_peak_allocation_is_near_the_output(self):
+        # indifference_check's broadcast, 1000 samples against 16 basis
+        # pairs, in blocks.  After a warm-up call the blocks reuse kept
+        # buffers, so the call's peak traced allocation is its output.
+        rng = np.random.default_rng(113)
+        args = basis_pair_args(*unit_pairs(rng, 1000))
+        theorem1_probs_batch(*args)
+        tracemalloc.start()
+        try:
+            out = theorem1_probs_batch(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1000, 16, 8)
+        assert peak <= 1.25 * out.nbytes
 
 
 def dense_theorem1(s, t, u):

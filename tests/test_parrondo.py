@@ -238,6 +238,11 @@ class TestClassifyGain:
         assert classify_gain(0.5) == "fair"
         assert classify_gain(0.5 + 1e-14) == "fair"
 
+    def test_nan_gain_raises(self):
+        # Both comparisons are false for NaN, which would read as "fair".
+        with pytest.raises(ValueError, match="must not be NaN"):
+            classify_gain(np.nan)
+
 
 class TestCoinEmbeddings:
     def test_type1_block_frozen(self):
@@ -344,6 +349,13 @@ class TestProperQuantization:
     def test_initial_state_rejects_nan_weights(self):
         with pytest.raises(ValueError, match="history weights must be nonnegative"):
             proper_initial_state([np.nan, 0.25, 0.25, 0.5])
+
+    @pytest.mark.parametrize("weights", [[np.inf, 1, 1, 1], [[1, 1, 1, 1], [1, 1, np.inf, 0]]])
+    def test_initial_state_rejects_infinite_weights(self, weights):
+        # An infinite weight is nonnegative and not all zero, but its
+        # normalized amplitude is inf/inf = NaN.
+        with pytest.raises(ValueError, match="history weights must be finite"):
+            proper_initial_state(weights)
 
     def test_output_state_structure_type1(self):
         rng = np.random.default_rng(RNG_SEED + 8)

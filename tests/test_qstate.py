@@ -1,8 +1,11 @@
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from hypergames import qstate
+from hypergames import coordgame, qstate
 from hypergames.qstate import (
     ACTION_LABELS2,
     ACTION_LABELS3,
@@ -367,6 +370,102 @@ class TestInBlocks:
         shape, largest, [(block, block_shape, cols)] = qstate.in_blocks(16000, a, b)
         assert block[0] is a and block[1] is b
         assert (block_shape, largest, cols) == (shape, 16000, slice(0, 16000))
+
+
+def in_new_thread(fn, *args):
+    """fn(*args) on a thread of its own, which starts with no kept buffers."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def kept_slots():
+    """The calling thread's kept block scratch: slot -> storage."""
+    return dict(qstate._KEPT.slots)
+
+
+class TestBlockBuffer:
+    def test_kept_per_thread_and_grown_up_to_the_width(self):
+        def calls():
+            first = qstate.block_buffer(0, (2,), 30, 100)
+            again = qstate.block_buffer(0, (2,), 20, 100)
+            as_complex = qstate.block_buffer(0, (2,), 15, 100, complex)
+            other_slot = qstate.block_buffer(1, (2,), 20, 100)
+            grown = qstate.block_buffer(0, (3,), 100, 100)
+            return first, again, as_complex, other_slot, grown, kept_slots()
+
+        first, again, as_complex, other_slot, grown, kept = in_new_thread(calls)
+        assert (first.shape, again.shape, grown.shape) == ((2, 30), (2, 20), (3, 100))
+        assert as_complex.shape == (2, 15) and as_complex.dtype == complex
+        assert np.shares_memory(first, again) and np.shares_memory(first, as_complex)
+        assert not np.shares_memory(first, other_slot) and not np.shares_memory(first, grown)
+        assert {slot: storage.size for slot, storage in kept.items()} == {0: 300, 1: 40}
+        assert np.shares_memory(kept[0], grown)
+        # Another thread keeps its own.
+        assert not np.shares_memory(in_new_thread(qstate.block_buffer, 0, (2,), 30, 100), first)
+
+    def test_wider_than_the_width_is_not_kept(self):
+        def calls():
+            return qstate.block_buffer(0, (), 300, 100), kept_slots()
+
+        wide, kept = in_new_thread(calls)
+        assert wide.shape == (300,) and kept == {}
+
+    def test_kernels_share_the_slots(self):
+        # The four sweep kernels and _embed, on batches wider than every
+        # block, keep one set of slots, each as large as its largest user:
+        # slot 0 the 2-player embedding (2, 8, 8192), 1 MiB, which also
+        # holds either oracle's three blocks of complex rows; slots 1 and 2
+        # the 3-player first product and halves, 256 KiB each; slot 3 the
+        # 3-player term, 32 KiB.
+        rng = np.random.default_rng(91)
+        args = [z for _ in range(3) for z in random_su2_amplitudes(rng, 20000)]
+
+        def calls():
+            coordgame.theorem1_probs_batch(*args)
+            oracle_probs3_batch(*args)
+            coordgame.landsburg_probs_batch(*args[:4])
+            oracle_probs2_batch(*args[:4])
+            coordgame._embed(1, *args[:2])
+            return kept_slots()
+
+        kept = in_new_thread(calls)
+        assert {slot: storage.nbytes for slot, storage in kept.items()} == {
+            0: 2**20, 1: 2**18, 2: 2**18, 3: 2**15}
+
+
+class TestOracleBufferContract:
+    def test_wide_rows_are_correct_and_not_kept(self):
+        # Rows of 3 widths: every block is one row longer than the width.
+        rng = np.random.default_rng(89)
+        for players, kernel in ((3, oracle_probs3_batch), (2, oracle_probs2_batch)):
+            width = qstate._BLOCK_ENTRIES // 2**players
+            args = [z.reshape(2, 3 * width) for _ in range(players)
+                    for z in random_su2_amplitudes(rng, 6 * width)]
+
+            def calls():
+                wide = kernel(*args), kept_slots()
+                return wide, kernel(*(z.reshape(-1) for z in args)), kept_slots()
+
+            (got, kept_wide), flat, kept = in_new_thread(calls)
+            assert kept_wide == {}
+            assert np.array_equal(got, flat.reshape(got.shape))
+            # The flat batch ran in blocks of the width; so much is kept.
+            assert {slot: storage.nbytes for slot, storage in kept.items()} == {
+                0: 3 * 16 * qstate._BLOCK_ENTRIES}
+
+    def test_peak_allocation_is_near_the_output(self):
+        # After a warm-up call the blocks reuse kept buffers, so the call's
+        # peak traced allocation is its output and per-block temporaries.
+        rng = np.random.default_rng(97)
+        args = [z for _ in range(3) for z in random_su2_amplitudes(rng, 16384)]
+        oracle_probs3_batch(*args)
+        tracemalloc.start()
+        try:
+            out = oracle_probs3_batch(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * out.nbytes
 
 
 class TestBasisChange3:
