@@ -25,6 +25,7 @@ from .hypercomplex import (
     gather_mul,
     gather_table,
     oct_mul,
+    sum_steps,
 )
 from .qstate import (
     ACTION_LABELS2,
@@ -86,19 +87,42 @@ _ROUTE_TABLES = (
     ),
     (_sign_flipped(_FIRST, left=(0,)), _stacked_halves(_H_OUTPUTS), _H_OUTPUTS),
 )
-# The same, compiled for gather_mul, with the ACTION_LABELS3 column of each
-# outcome read.
-_ROUTES = tuple(
-    (
-        compile_rows(first),
-        compile_rows(second),
-        tuple(ACTION_LABELS3.index(OUTCOME_OF_INDEX[k]) for k in outputs),
-    )
-    for first, second, outputs in _ROUTE_TABLES
-)
+# gather_mul's rows in _theorem1_probs: s, t, u; the 11 scratch rows, the
+# first product, the halves pair and the term; the pair as one row; the
+# probabilities in ACTION_LABELS3 order.
+_FIRST_ROWS, _PAIR, _TERM, _PAIR_ROW, _PROB_ROWS = 24, (32, 33), 34, 35, 36
+
+
+def _closed_form_plan():
+    """The gather_mul plan of a block of _theorem1_probs, from _ROUTE_TABLES.
+
+    Each route's second product reads only four coordinates of s t, those
+    of its outputs, so each route forms only those: their rows of the first
+    product, each the sum of two products s_i t_j.  The second products read
+    the sign each row is held with (sum_steps) into their terms' signs, and
+    their own held signs vanish in the square.
+    """
+    plan = []
+    for first, second, outputs in _ROUTE_TABLES:
+        held = {}
+        for k in sorted(set(second[0].ravel().tolist())):
+            terms = [(x, 8 + y, s) for x, y, s in zip(*(part[:, k].tolist() for part in first))]
+            steps, held[k] = sum_steps(terms, _FIRST_ROWS + k, _TERM)
+            plan += steps
+        for k, index in enumerate(outputs):
+            for half, acc in enumerate(_PAIR):
+                a, b, sign = (part[:, k, half].tolist() for part in second)
+                terms = [(_FIRST_ROWS + x, 16 + y, s * held[x]) for x, y, s in zip(a, b, sign)]
+                plan += sum_steps(terms, acc, _TERM)[0]
+            column = _PROB_ROWS + ACTION_LABELS3.index(OUTCOME_OF_INDEX[index])
+            plan += [(np.multiply, _PAIR_ROW, _PAIR_ROW, _PAIR_ROW), (np.add, *_PAIR, column)]
+    return tuple(plan)
+
+
+_CLOSED_FORM_PLAN = _closed_form_plan()
 # The 16-term product of player 1's subalgebra {1, i1, i2, i4}, the
 # quaternions {1, i, j, k}, with rows 1, j, k, i in ACTION_LABELS2 order.
-_QUATERNION_ROWS = compile_rows(gather_table(PLAYER_BASIS[1], PLAYER_BASIS[1], (0, 2, 4, 1)))
+_QUATERNION_PLAN = compile_rows(gather_table(PLAYER_BASIS[1], PLAYER_BASIS[1], (0, 2, 4, 1)))
 
 
 class OctStrategyFamily:
@@ -167,21 +191,27 @@ def _embedded_blocks(width, pairs, players, twists):
     embeddings, A on coordinates 0 and 1 and B times the twist on the
     player's other two units.  factors is a view of block_buffer slot 0:
     only the players' support rows are written, and no product reads the
-    others."""
+    others.  A pair that does not span the leading axis is the same arrays
+    in every block, whose columns prefix the first's: it is embedded once."""
     pairs = [tuple(np.asarray(z, dtype=complex) for z in pair) for pair in pairs]
     check_unit_pairs(*pairs)
     shape, largest, blocks = in_blocks(width, *(z for pair in pairs for z in pair))
     buffer = block_buffer(0, (len(pairs), 8), largest, width)
 
     def embedded():
+        previous = [None] * (2 * len(pairs))
         for block, block_shape, cols in blocks:
             factors = buffer[..., : cols.stop - cols.start]
-            for c, player, A, B, w in zip(factors, players, block[::2], block[1::2], twists):
+            for k, (c, player, w) in enumerate(zip(factors, players, twists)):
+                A, B = block[2 * k], block[2 * k + 1]
+                if A is previous[2 * k] and B is previous[2 * k + 1]:
+                    continue
                 _, mid, high = SUBALGEBRA_UNITS[player]
                 c = c.reshape((8,) + block_shape)
                 c[0], c[1] = A.real, A.imag
                 c[mid] = w.real * B.real - w.imag * B.imag
                 c[high] = w.imag * B.real + w.real * B.imag
+            previous = block
             yield factors, cols
 
     return shape, largest, embedded()
@@ -217,21 +247,16 @@ def _theorem1_probs(shape, largest, blocks):
     1's B part, and s- = (-Re A, Im A), and each probability is the sum of
     the squared projections of the s+ and s- products.  Every product runs
     on the players' four-coordinate supports and forms only the outputs
-    read; s+ and s- share one first product, and the second product puts
-    their halves on one axis.  All blocks and both routes reuse the same
-    three block_buffers, slots 1 to 3, and the halves are squared in place.
+    read; s+ and s- share one first product, and the second product splits
+    it into their halves.  Each distinct product is formed once, no step
+    negates a row (_closed_form_plan), and each output's halves are squared
+    and added as soon as they are formed.  All blocks reuse block_buffer 1.
     """
     probs = np.empty((8, math.prod(shape)))
-    buffers = [block_buffer(slot, rows, largest, _WIDTH3)
-               for slot, rows in ((1, (8,)), (2, (4, 2)), (3, ()))]
-    for (s, t, u), cols in blocks:
-        first, halves, term = (b[..., : cols.stop - cols.start] for b in buffers)
-        for first_rows, second_rows, columns in _ROUTES:
-            gather_mul(s, t, first_rows, first, term)
-            gather_mul(first, u, second_rows, halves, term)
-            np.square(halves, out=halves)
-            for k, column in enumerate(columns):
-                np.add(halves[k, 0], halves[k, 1], out=probs[column, cols])
+    scratch = block_buffer(1, (11,), largest, _WIDTH3)
+    for factors, cols in blocks:
+        rows = scratch[:, : cols.stop - cols.start]
+        gather_mul(_CLOSED_FORM_PLAN, *factors, rows, (rows[8:10],), probs[:, cols])
     return probs.T.reshape(shape + (8,))
 
 
@@ -343,9 +368,10 @@ def landsburg_probs_batch(A, B, P, Q):
     width = _CLOSED_ENTRIES // 4
     shape, largest, blocks = _embedded_blocks(width, pairs, (1, 1), (ETA2, -ETA2))
     probs = np.empty((4, math.prod(shape)))
-    term = block_buffer(1, (), largest, width)
+    term = block_buffer(1, (1,), largest, width)
     for (left, right), cols in blocks:
-        p = gather_mul(left, right, _QUATERNION_ROWS, probs[:, cols], term[: left.shape[-1]])
+        p = probs[:, cols]
+        gather_mul(_QUATERNION_PLAN, left, right, p, term[:, : cols.stop - cols.start])
         np.square(p, out=p)
     return normalized(probs, shape)
 

@@ -271,7 +271,7 @@ def indifference_check(k, game, samples, tol, rng=None):
     pairs = _slot_grid(2)
     pairs.insert(k - 1, (A[:, None], B[:, None]))
     probs = theorem1_probs_batch(*(z for pair in pairs for z in pair))
-    expected = (probs @ payoffs).mean(axis=1)
+    expected = (probs.reshape(-1, 8) @ payoffs).reshape(samples, 16).mean(axis=1)
     target = float(payoffs.sum() / 8.0)
     return check_record(
         "own strategy cannot move the payoff off the target",

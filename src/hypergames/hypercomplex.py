@@ -15,13 +15,16 @@ Products are formed from signed-gather tables derived at import from the
 structure tensor OCT_TENSOR, the one statement of the multiplication rule.
 Of its 512 entries only 64 are non-zero, so a table lists, for each output
 coordinate, just its (left index, right index, sign) terms; restricting the
-left and right supports and the outputs drops more.  Each table is compiled
-once into per-row term lists, and gather_mul writes the product one output
-row at a time into preallocated buffers, with no temporary arrays.  The
-terms are added in the table's order, so the result does not depend on the
-batch shape.  oct_mul is the full-support case; the closed forms in
-coordgame restrict the tables to the players' four-coordinate subalgebras,
-and the two-player quaternion product runs on player 1's, {1, i1, i2, i4}.
+left and right supports and the outputs drops more.  Tables are compiled
+once into plans, lists of np.multiply, np.add and np.subtract steps between
+rows, which gather_mul, the one product engine, runs in place.  Each output
+adds its terms one at a time in table order, so the result does not depend
+on the batch shape.  Round to nearest is symmetric, so a plan never negates
+a row: a sum that starts negative is held negated, and the sign is read
+into the steps that use it (sum_steps).  oct_mul is the full-support case;
+the closed forms in coordgame restrict the tables to the players'
+four-coordinate subalgebras, and the two-player quaternion product runs on
+player 1's, {1, i1, i2, i4}.
 """
 
 import numpy as np
@@ -84,33 +87,47 @@ def gather_table(left=BASIS, right=BASIS, outputs=BASIS):
     )
 
 
-def compile_rows(table):
-    """A signed-gather table as per-row term lists, the form gather_mul runs.
+def sum_steps(terms, out, term):
+    """Steps that sum the products of rows x and y, each times its sign, for
+    (x, y, sign) in terms, one at a time in order: the first is formed in
+    row out, each later one in row term and folded in by np.add or
+    np.subtract.  Returns (steps, held), out holding held times the sum.
 
-    The index arrays of table have shape (terms,) + lead.  Returns (lead,
-    rows), one row per lead index in C order, each (index, i, j, negate,
-    later): index selects the row of a coordinate-first output of any batch
-    shape, a[i] b[j] is the first term and negate whether it enters
-    negated, and later lists the other terms, in the table's order, as
-    (i, j, fold) with fold np.add or np.subtract.  Everything is Python
-    ints, index tuples and ufuncs, compiled once, so gather_mul does no work
-    on the table.
+    No step negates a row.  A sum that starts negative is held negated, and
+    round to nearest is symmetric, so -x - y rounds to -(x + y); a positive
+    term brings it back as term - out.  While a sum is held negated an exact
+    zero may take the other sign, which no square sees.
     """
-    i, j, sign = (np.asarray(part) for part in table)
-    rows = []
-    for lead in np.ndindex(i.shape[1:]):
-        col = (slice(None),) + lead
-        terms = [
-            ((a, ...), (b, ...), s < 0)
-            for a, b, s in zip(i[col].tolist(), j[col].tolist(), sign[col].tolist())
-        ]
-        (a, b, negate), later = terms[0], terms[1:]
-        folds = tuple((c, d, np.subtract if neg else np.add) for c, d, neg in later)
-        rows.append((lead + (...,), a, b, negate, folds))
-    return i.shape[1:], tuple(rows)
+    (x, y, held), *later = terms
+    steps = [(np.multiply, x, y, out)]
+    for x, y, sign in later:
+        if held > 0:
+            fold = (np.add if sign > 0 else np.subtract, out, term, out)
+        elif sign > 0:
+            fold, held = (np.subtract, term, out, out), 1
+        else:
+            fold = (np.add, out, term, out)
+        steps += [(np.multiply, x, y, term), fold]
+    return steps, held
 
 
-_FULL_ROWS = compile_rows(gather_table())
+def compile_rows(table):
+    """A signed-gather table as the plan gather_mul runs on registers a, b,
+    out and (term,): rows 0 to 7 and 8 to 15 are a's and b's, then one
+    output per column of the table, each its terms' sum in table order,
+    then the term row."""
+    i, j, sign = (np.asarray(part).tolist() for part in table)
+    plan = []
+    for k in range(len(i[0])):
+        terms = [(a[k], 8 + b[k], s[k]) for a, b, s in zip(i, j, sign)]
+        steps, held = sum_steps(terms, 16 + k, 16 + len(i[0]))
+        if held < 0:
+            raise ValueError("output %d would end negated" % k)
+        plan += steps
+    return tuple(plan)
+
+
+_FULL_PLAN = compile_rows(gather_table())
 
 
 def coordinate_first(*coeffs):
@@ -129,35 +146,20 @@ def coordinate_last(c):
     return c.transpose(tuple(range(1, c.ndim)) + (0,))
 
 
-def gather_mul(a, b, table, out=None, term=None):
-    """Product of coordinate-first operands over a compiled gather table.
+def gather_mul(plan, *registers):
+    """Run a compiled plan, the one product engine, over row registers.
 
-    a[i] and b[j] are the coefficient arrays of basis elements i and j, of
-    equal number of axes (see coordinate_first); rows outside the table's
-    supports are never read.  table comes from compile_rows, and the result
-    has shape lead + the broadcast batch shape.
-
-    Each output row is formed in place, with no temporaries: the first term
-    is multiplied straight into the row (and negated if its sign is -1),
-    each later term into one term row, and np.add or np.subtract folds it
-    into the output row.  out, and term of the batch shape, may be passed
-    in to reuse them.  Terms are added one at a time in table order, so
-    every element is rounded the same way whatever the batch shape.
+    A register is a coordinate-first array of two or more axes, whose rows
+    are its coefficient arrays, or a tuple of rows; the rows are numbered in
+    order.  Each step (ufunc, x, y, out) of plan calls ufunc(row x, row y,
+    row out), np.multiply, np.add or np.subtract, so every product and sum
+    is written in place into a row that the caller allocated.  A plan adds
+    each output's terms one at a time in a fixed order, so every element is
+    rounded the same way whatever the batch shape.
     """
-    lead, rows = table
-    if out is None:
-        out = np.empty(lead + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
-    if term is None:
-        term = np.empty(out.shape[len(lead):])
-    for index, i, j, negate, later in rows:
-        row = out[index]
-        np.multiply(a[i], b[j], row)
-        if negate:
-            np.negative(row, row)
-        for i, j, fold in later:
-            np.multiply(a[i], b[j], term)
-            fold(row, term, row)
-    return out
+    rows = [row for register in registers for row in register]
+    for ufunc, x, y, out in plan:
+        ufunc(rows[x], rows[y], rows[out])
 
 
 def _coeffs(a):
@@ -174,8 +176,12 @@ def oct_mul(a, b):
     broadcasts. Returns an Octonion when both inputs are Octonions, else a
     coefficient array.  The full-support case of gather_mul.
     """
-    ca, cb = coordinate_first(_coeffs(a), _coeffs(b))
-    out = coordinate_last(gather_mul(ca, cb, _FULL_ROWS))
+    # A leading batch axis of one, so that a single octonion's rows are
+    # arrays; out's ninth row is the plan's term row.
+    ca, cb = coordinate_first(_coeffs(a)[np.newaxis], _coeffs(b)[np.newaxis])
+    out = np.empty((9,) + np.broadcast_shapes(ca.shape[1:], cb.shape[1:]))
+    gather_mul(_FULL_PLAN, ca, cb, out)
+    out = coordinate_last(out[:8])[0]
     if isinstance(a, Octonion) and isinstance(b, Octonion):
         return Octonion(out)
     return out

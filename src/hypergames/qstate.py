@@ -55,10 +55,16 @@ def eta(n_players):
 
 
 def check_unit_pairs(*pairs, atol=1e-9):
-    """Require |A|^2 + |B|^2 = 1 within atol for every pair; a NaN fails."""
+    """Require |A|^2 + |B|^2 = 1 within atol for every pair, summing the
+    squared parts; a NaN or an infinity fails.  A one-element input is
+    summed as a Python number, which costs no numpy call."""
     for a, b in pairs:
-        norms = np.abs(a) ** 2 + np.abs(b) ** 2
-        if not (np.abs(norms - 1.0) <= atol).all():
+        a, b = [z.item() if z.size == 1 else z for z in (np.asarray(a), np.asarray(b))]
+        norms = a.real * a.real + a.imag * a.imag + (b.real * b.real + b.imag * b.imag)
+        lo = hi = norms
+        if isinstance(norms, np.ndarray):
+            lo, hi = norms.min(initial=1.0), norms.max(initial=1.0)
+        if not (hi - 1.0 <= atol and 1.0 - lo <= atol):
             raise ValueError("strategy pair must satisfy |A|^2 + |B|^2 = 1")
 
 

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import tracemalloc
@@ -302,7 +303,7 @@ class TestBufferContract:
         width3, width2 = coordgame._WIDTH3, coordgame._CLOSED_ENTRIES // 4
         for kernel, oracle, arity, slot_sizes in (
             (theorem1_probs_batch, oracle_probs3_batch, 6,
-             {0: 24 * width3, 1: 8 * width3, 2: 8 * width3, 3: width3}),
+             {0: 24 * width3, 1: 11 * width3}),
             (landsburg_probs_batch, oracle_probs2_batch, 4, {0: 16 * width2, 1: width2}),
         ):
             width = width3 if arity == 6 else width2
@@ -518,6 +519,229 @@ class TestRowWiseProductIsTermAtATime:
             ca, cb = coordinate_first(a, b)
             expected = np.moveaxis(term_at_a_time_mul(ca, cb, gather_table()), 0, -1)
             assert same_bits(oct_mul(a, b), expected)
+
+
+def reference_compile_rows(table):
+    """The closed form's former table compiler: per output row, its first
+    term (negated or not) and its later terms as (i, j, fold)."""
+    i, j, sign = (np.asarray(part) for part in table)
+    rows = []
+    for lead in np.ndindex(i.shape[1:]):
+        col = (slice(None),) + lead
+        terms = [
+            ((a, ...), (b, ...), s < 0)
+            for a, b, s in zip(i[col].tolist(), j[col].tolist(), sign[col].tolist())
+        ]
+        (a, b, negate), later = terms[0], terms[1:]
+        folds = tuple((c, d, np.subtract if neg else np.add) for c, d, neg in later)
+        rows.append((lead + (...,), a, b, negate, folds))
+    return i.shape[1:], tuple(rows)
+
+
+def reference_gather_mul(a, b, table, out, term):
+    """The former product kernel: each output row formed in place, its first
+    term negated when its sign is -1, each later term folded in."""
+    lead, rows = table
+    for index, i, j, negate, later in rows:
+        row = out[index]
+        np.multiply(a[i], b[j], row)
+        if negate:
+            np.negative(row, row)
+        for i, j, fold in later:
+            np.multiply(a[i], b[j], term)
+            fold(row, term, row)
+    return out
+
+
+REFERENCE_ROUTES = tuple(
+    (reference_compile_rows(first), reference_compile_rows(second),
+     [ACTION_LABELS3.index(OUTCOME_OF_INDEX[k]) for k in outputs])
+    for first, second, outputs in _ROUTE_TABLES
+)
+
+
+def reference_embedding(player, A, B):
+    """Coordinate-first (8, n) embedding of flat pairs, as _embedded_blocks
+    writes it."""
+    w = coordgame._TWIST3
+    _, mid, high = SUBALGEBRA_UNITS[player]
+    c = np.zeros((8, A.size))
+    c[0], c[1] = A.real, A.imag
+    c[mid] = w.real * B.real - w.imag * B.imag
+    c[high] = w.imag * B.real + w.real * B.imag
+    return c
+
+
+def reference_theorem1(*args):
+    """theorem1_probs_batch by the former route kernel: each route's first
+    and second product formed separately, with negations, in one block."""
+    args = np.broadcast_arrays(*(np.asarray(z, dtype=complex) for z in args))
+    shape = args[0].shape
+    s, t, u = (reference_embedding(k + 1, args[2 * k].ravel(), args[2 * k + 1].ravel())
+               for k in range(3))
+    n = s.shape[1]
+    probs = np.empty((8, n))
+    first, halves, term = np.empty((8, n)), np.empty((4, 2, n)), np.empty(n)
+    for first_rows, second_rows, columns in REFERENCE_ROUTES:
+        reference_gather_mul(s, t, first_rows, first, term)
+        reference_gather_mul(first, u, second_rows, halves, term)
+        np.square(halves, out=halves)
+        for k, column in enumerate(columns):
+            np.add(halves[k, 0], halves[k, 1], out=probs[column])
+    return probs.T.reshape(shape + (8,))
+
+
+def su2_pairs(rng, shape):
+    """Haar-random SU(2) pairs of the given batch shape."""
+    a, b = unit_pairs(rng, math.prod(shape))
+    return a.reshape(shape), b.reshape(shape)
+
+
+# The shapes the plan is checked on, each a function of a seeded generator.
+SHARED_PLAN_CASES = {
+    "flat 10^5": lambda rng: [z for _ in range(3) for z in su2_pairs(rng, (100_000,))],
+    "(1000,1)x16": lambda rng: basis_pair_args(*su2_pairs(rng, (1000,))),
+    "(5000,1)x16": lambda rng: basis_pair_args(*su2_pairs(rng, (5000,))),
+    "(3000,1,1)x(1,5,1)x(5,4)": lambda rng: [
+        *su2_pairs(rng, (3000, 1, 1)), *su2_pairs(rng, (1, 5, 1)), *su2_pairs(rng, (5, 4))],
+    "(2,1)x(9000,)x(2,9000)": lambda rng: [
+        *su2_pairs(rng, (2, 1)), *su2_pairs(rng, (9000,)), *su2_pairs(rng, (2, 9000))],
+    "batch of one": lambda rng: [z for _ in range(3) for z in su2_pairs(rng, (1,))],
+    "64 basis triples": lambda rng: [z for pair in coordgame._slot_grid(3) for z in pair],
+    "empty": lambda rng: [z for _ in range(3) for z in su2_pairs(rng, (0,))],
+}
+
+
+class TestSharedProductPlan:
+    """The closed form forms each product it reads once and negates no row;
+    its result keeps every bit of the former route kernel's."""
+
+    @pytest.mark.parametrize("case", list(SHARED_PLAN_CASES))
+    def test_equals_the_former_route_kernel(self, case):
+        args = SHARED_PLAN_CASES[case](np.random.default_rng(127))
+        probs = theorem1_probs_batch(*args)
+        assert np.array_equal(probs, reference_theorem1(*args))
+        assert probs.shape == np.broadcast_shapes(*(np.shape(z) for z in args)) + (8,)
+
+    def test_scalar_entry_point_equals_the_former_route_kernel(self):
+        rng = np.random.default_rng(131)
+        for _ in range(20):
+            three = [z[0] for _ in range(3) for z in unit_pairs(rng, 1)]
+            probs = theorem1_distribution(*family_triple(*three)).probs
+            assert np.array_equal(probs, reference_theorem1(*three))
+
+    def test_plan_shape(self):
+        plan = coordgame._CLOSED_FORM_PLAN
+        assert {ufunc for ufunc, *_ in plan} == {np.multiply, np.add, np.subtract}
+        # The 16 products s_i t_j (s on rows 0-7, t on 8-15) are each formed
+        # once.  Each row of the first product (rows 24-31) sums two: the
+        # first is formed in the row, the second folded in by one add or
+        # subtract.
+        first = [(x, y, out) for ufunc, x, y, out in plan if ufunc is np.multiply and y < 16]
+        assert len(first) == len({(x, y) for x, y, _ in first}) == 16
+        assert all(x < 8 <= y for x, y, _ in first)
+        writes = [out for ufunc, x, y, out in plan if 24 <= out < 32]
+        assert sorted(writes) == sorted(list(range(24, 32)) * 2)
+        # 48 products, 24 folds, and per output one square of the halves
+        # pair and one add.
+        assert len(plan) == 48 + 24 + 8 + 8
+
+    def test_routes_read_disjoint_halves_of_the_first_product(self):
+        # So one product s t holds the rows both routes read.
+        read = [set(second[0].ravel().tolist()) for _, second, _ in _ROUTE_TABLES]
+        assert read == [{0, 1, 3, 7}, {2, 4, 5, 6}]
+        first_g, first_h = (first for first, _, _ in _ROUTE_TABLES)
+        assert np.array_equal(first_g[:2], first_h[:2])
+
+
+def nan_between_blocks(width, pairs, players, twists):
+    """The factors _embedded_blocks yields for each block, copied, with every
+    embedded row set to NaN after each block is read."""
+    _, _, blocks = coordgame._embedded_blocks(width, pairs, players, twists)
+    seen = []
+    for factors, cols in blocks:
+        seen.append((factors.copy(), cols))
+        factors[...] = np.nan
+    return seen
+
+
+class TestEmbeddedOnce:
+    """A pair that does not span the leading axis is embedded on the first
+    block only; later blocks read its rows from there."""
+
+    def test_reused_pair_equals_the_materialized_pair(self):
+        rng = np.random.default_rng(137)
+        width3 = coordgame._WIDTH3
+        args = basis_pair_args(*su2_pairs(rng, (5000,)))
+        # 5000 rows of 16 profiles run in blocks of width3 // 16 rows, the
+        # last one shorter.
+        assert 5000 % (width3 // 16) and 5000 * 16 > width3
+        for k in (2, 4):
+            materialized = list(args)
+            for z in (k, k + 1):
+                materialized[z] = np.broadcast_to(args[z], (5000, 16)).copy()
+            assert np.array_equal(theorem1_probs_batch(*args),
+                                  theorem1_probs_batch(*materialized))
+        materialized = [np.broadcast_to(z, (5000, 16)).copy() for z in args]
+        assert np.array_equal(theorem1_probs_batch(*args), theorem1_probs_batch(*materialized))
+
+    def test_landsburg_reused_pair_equals_the_materialized_pair(self):
+        rng = np.random.default_rng(139)
+        width2 = coordgame._CLOSED_ENTRIES // 4
+        a, b = su2_pairs(rng, (5000, 1))
+        p, q = su2_pairs(rng, (16,))
+        assert 5000 % (width2 // 16) and 5000 * 16 > width2
+        got = landsburg_probs_batch(a, b, p, q)
+        wide = [np.broadcast_to(z, (5000, 16)).copy() for z in (a, b, p, q)]
+        assert np.array_equal(got, landsburg_probs_batch(*wide))
+        assert np.array_equal(got, landsburg_probs_batch(a, b, *wide[2:]))
+        assert np.max(np.abs(got - oracle_probs2_batch(a, b, p, q))) < 1e-10
+
+    @pytest.mark.parametrize("width, players, twists", [
+        (coordgame._WIDTH3, (1, 2, 3), [coordgame._TWIST3] * 3),
+        (coordgame._CLOSED_ENTRIES // 4, (1, 1), (ETA2, -ETA2)),
+    ])
+    def test_only_non_spanning_pairs_are_reused(self, width, players, twists):
+        # Between blocks every embedded row is overwritten with NaN: a pair
+        # that spans the leading axis is embedded again, a reused one is not,
+        # on the full blocks, the shorter last block and wide rows alike.
+        rng = np.random.default_rng(149)
+        rows = 3 * width // 16 + 5
+        for spanning, shape, block_rows in (((rows, 1), (16,), (width // 16,) * 3 + (5,)),
+                                            ((3, 1), (width + 7,), (1, 1, 1))):
+            pairs = [su2_pairs(rng, spanning)] + [su2_pairs(rng, shape)] * (len(players) - 1)
+            blocks = nan_between_blocks(width, pairs, players, twists)
+            row = math.prod(shape)
+            assert tuple((cols.stop - cols.start) // row for _, cols in blocks) == block_rows
+            for n, (factors, _) in enumerate(blocks):
+                embedded = [f[list(PLAYER_BASIS[p])] for f, p in zip(factors, players)]
+                assert np.isfinite(embedded[0]).all()
+                for reused in embedded[1:]:
+                    assert np.isnan(reused).all() if n else np.isfinite(reused).all()
+
+    def test_pair_with_one_spanning_array_is_embedded_every_block(self):
+        # A is one number for every profile, B's phase spans the leading
+        # axis: the pair is not the same arrays in every block.
+        rng = np.random.default_rng(163)
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi, (5000, 1)))
+        for a, b in ((0.6, 0.8 * phase), (0.8 * phase, 0.6)):
+            args = [a, b] + basis_pair_args(*su2_pairs(rng, (5000,)))[2:]
+            got = theorem1_probs_batch(*args)
+            assert np.array_equal(got, reference_theorem1(*args))
+            assert np.array_equal(landsburg_probs_batch(a, b, *args[2:4]),
+                                  landsburg_probs_batch(*np.broadcast_arrays(a, b, *args[2:4])))
+
+    def test_wide_rows_with_a_reused_pair(self):
+        # Rows longer than a block are blocks of their own, in scratch that
+        # is not kept; the reused pair's rows carry over between them too.
+        rng = np.random.default_rng(151)
+        width3 = coordgame._WIDTH3
+        args = [*su2_pairs(rng, (3, 1)), *su2_pairs(rng, (width3 + 7,)),
+                *su2_pairs(rng, (3, width3 + 7))]
+        got = theorem1_probs_batch(*args)
+        assert np.array_equal(got, reference_theorem1(*args))
+        materialized = [np.broadcast_to(z, (3, width3 + 7)).copy() for z in args]
+        assert np.array_equal(got, theorem1_probs_batch(*materialized))
 
 
 class TestBasisStrategyReduction:

@@ -2,11 +2,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from hypergames.coordgame import PLAYER_BASIS, su2_of_basis
+from hypergames.coordgame import PLAYER_BASIS, _slot_grid, su2_of_basis, theorem1_probs_batch
 from hypergames.equilibria import (
     BUILTIN_GAME_NAMES,
     DiscreteQuantumMixture,
     PayoffTable,
+    _random_subalgebra_pairs,
     builtin_game_file,
     builtin_games,
     classical_mixed_payoff,
@@ -339,6 +340,23 @@ class TestIndifference:
         for k in (0, 4, 1.0):
             with pytest.raises(ValueError, match="player must be 1 to 3"):
                 indifference_check(k, game, 10, 1e-10)
+
+    def test_flat_payoff_product_keeps_the_stacked_bytes(self):
+        # indifference_check contracts (samples * 16, 8) probabilities with
+        # the payoffs in one product; each row's bytes are those of the
+        # stacked (samples, 16, 8) product, for every table and player.
+        rng = np.random.default_rng(37)
+        tables = list(builtin_games().values()) + [random_game(rng) for _ in range(3)]
+        for samples in (1, 7, 1000):
+            a, b = _random_subalgebra_pairs(rng, samples)
+            pairs = _slot_grid(2)
+            for k in (1, 2, 3):
+                args = pairs[: k - 1] + [(a[:, None], b[:, None])] + pairs[k - 1 :]
+                probs = theorem1_probs_batch(*(z for pair in args for z in pair))
+                for game in tables:
+                    payoffs = game.payoffs_for(k)
+                    flat = (probs.reshape(-1, 8) @ payoffs).reshape(samples, 16)
+                    assert flat.tobytes() == (probs @ payoffs).tobytes()
 
     def test_seeded_runs_reproduce(self):
         game = builtin_games()["poker_zero_sum_corrected"]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypergames.coordgame import _QUATERNION_ROWS
+from hypergames.coordgame import _QUATERNION_PLAN
 from hypergames.hypercomplex import (
     FANO_LINES,
     OCT_TENSOR,
@@ -18,6 +18,15 @@ from hypergames.hypercomplex import (
     oct_norm,
     oct_project,
 )
+
+
+def run_plan(plan, a, b, outputs):
+    """The product of coordinate-first a and b over a compile_rows plan with
+    the given number of output rows."""
+    batch = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    out = np.empty((outputs,) + batch)
+    gather_mul(plan, a, b, out, np.empty((1,) + batch))
+    return out
 
 
 class Quaternion:
@@ -325,13 +334,13 @@ class TestGatherTables:
         junk_a[[3, 5, 6, 7]] = np.nan
         junk_b[[2, 3, 4, 7]] = np.nan
         npt.assert_array_equal(
-            gather_mul(junk_a, junk_b, table), gather_mul(a, b, table)
+            run_plan(table, junk_a, junk_b, 2), run_plan(table, a, b, 2)
         )
         keep_a, keep_b = np.zeros_like(a), np.zeros_like(b)
         keep_a[[0, 1, 2, 4]] = a[[0, 1, 2, 4]]
         keep_b[[0, 1, 5, 6]] = b[[0, 1, 5, 6]]
         full = self.dense(keep_a.T, keep_b.T)
-        npt.assert_allclose(gather_mul(a, b, table), full[:, [3, 7]].T, rtol=1e-15)
+        npt.assert_allclose(run_plan(table, a, b, 2), full[:, [3, 7]].T, rtol=1e-15)
 
 
 class TestQuaternion:
@@ -404,7 +413,7 @@ class TestQuaternionOctonionEmbedding:
         # The two-player closed form's 16-term table on player 1's
         # subalgebra, whose rows are the coordinates 1, j, k and i.
         ca, cb = (quat_to_oct(q, 1).c[:, np.newaxis] for q in (a, b))
-        gathered = gather_mul(ca, cb, _QUATERNION_ROWS)[:, 0]
+        gathered = run_plan(_QUATERNION_PLAN, ca, cb, 4)[:, 0]
         npt.assert_allclose(gathered, quat_mul(a, b).coeffs()[[0, 2, 3, 1]], atol=1e-12)
 
     def test_round_trip(self):

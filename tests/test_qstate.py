@@ -145,6 +145,73 @@ class TestSU2Gate:
             game_state3(np.nan, 0, 1, 0, 1, 0)
 
 
+def summed_squares(a, b):
+    """|A|^2 + |B|^2 as check_unit_pairs adds it, in Python floats."""
+    a, b = complex(a), complex(b)
+    return a.real * a.real + a.imag * a.imag + (b.real * b.real + b.imag * b.imag)
+
+
+def edge_doubles(atol=1e-9):
+    """The squared norms on both sides of each edge of the accepted band:
+    (inside, outside) above 1 and below 1, each within 2.3e-16 of the edge."""
+    edges = []
+    for side, away in ((1.0, 2.0), (-1.0, 0.0)):
+        x = 1.0 + side * atol
+        while abs(x - 1.0) > atol:
+            x = np.nextafter(x, 1.0)
+        while abs(np.nextafter(x, away) - 1.0) <= atol:
+            x = np.nextafter(x, away)
+        edges.append((float(x), float(np.nextafter(x, away))))
+    return edges
+
+
+def pair_with_squared_norm(x):
+    """A real pair (A, B) whose summed squares round to exactly x: A^2 just
+    at or below x, B^2 the exact rest."""
+    a = np.sqrt(x)
+    while a * a > x:
+        a = np.nextafter(a, 0.0)
+    pair = (float(a), float(np.sqrt(x - a * a)))
+    assert summed_squares(*pair) == x
+    return pair
+
+
+class TestCheckUnitPairs:
+    MESSAGE = r"\|A\|\^2 \+ \|B\|\^2 = 1"
+
+    def test_edge_of_the_band_within_a_rounding(self):
+        for inside, outside in edge_doubles():
+            assert abs(inside - outside) < 2.3e-16
+            for x, accepted in ((inside, True), (outside, False)):
+                a, b = pair_with_squared_norm(x)
+                forms = [
+                    (complex(a), complex(b)),
+                    (complex(0.0, a), complex(0.0, b)),
+                    (np.array(a + 0j), np.array(b + 0j)),
+                    (np.array([a + 0j]), np.array([b + 0j])),
+                    (np.full((2, 1), a + 0j), np.full(3, b + 0j)),
+                    (np.array([a + 0j]), np.full((2, 3), b + 0j)),
+                ]
+                for pair in forms:
+                    if accepted:
+                        qstate.check_unit_pairs(pair)
+                    else:
+                        with pytest.raises(ValueError, match=self.MESSAGE):
+                            qstate.check_unit_pairs((1.0, 0.0), pair)
+
+    def test_non_finite_and_empty(self):
+        rng = np.random.default_rng(157)
+        a, b = random_su2_amplitudes(rng, 1000)
+        for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 0)):
+            for index in (0, 999):
+                poisoned = a.copy()
+                poisoned[index] = bad
+                with pytest.raises(ValueError, match=self.MESSAGE):
+                    qstate.check_unit_pairs((poisoned, b))
+        qstate.check_unit_pairs((a, b), (np.empty(0, complex), np.empty(0, complex)))
+        qstate.check_unit_pairs((np.empty((0, 1)), np.empty(3)), (np.ones(1), np.empty(0)))
+
+
 class TestGameState3:
     def test_identity_strategies(self):
         v = game_state3(1, 0, 1, 0, 1, 0)
@@ -414,9 +481,9 @@ class TestBlockBuffer:
         # The four sweep kernels and _embed, on batches wider than every
         # block, keep one set of slots, each as large as its largest user:
         # slot 0 the 2-player embedding (2, 8, 8192), 1 MiB, which also
-        # holds either oracle's three blocks of complex rows; slots 1 and 2
-        # the 3-player first product and halves, 256 KiB each; slot 3 the
-        # 3-player term, 32 KiB.
+        # holds either oracle's three blocks of complex rows; slot 1 the
+        # 3-player scratch, the first product, the halves pair and the term
+        # row, 11 rows of 4096, 352 KiB, which also holds the 2-player term.
         rng = np.random.default_rng(91)
         args = [z for _ in range(3) for z in random_su2_amplitudes(rng, 20000)]
 
@@ -430,7 +497,7 @@ class TestBlockBuffer:
 
         kept = in_new_thread(calls)
         assert {slot: storage.nbytes for slot, storage in kept.items()} == {
-            0: 2**20, 1: 2**18, 2: 2**18, 3: 2**15}
+            0: 2**20, 1: 11 * 2**15}
 
 
 class TestOracleBufferContract:
