@@ -17,8 +17,15 @@ form, next to the other two calls of an equilibrium analysis:
 ``expected_payoff_mixture`` under the quarter-weight mixtures, which must
 pay the table average within 1e-12, and ``classical_pure_scan``, which must
 find the printed poker table's one pure equilibrium.  Then
-``theorem1_distribution``, ``oracle_distribution3`` and
-``landsburg_probs`` at a batch of one.  Each ``verify`` suite is timed
+``theorem1_distribution``, ``oracle_distribution3``, ``landsburg_probs``
+and ``proper_quantized_gains`` at a batch of one.  The Parrondo kernels
+``proper_quantized_gains_batch``, ``sequence_quantized_gains_batch``,
+``block_unitarity_deviation`` (of ``superposed_games_blocks``) and
+``fna_p_win_pair_batch`` are timed at PARRONDO_SAMPLES samples of the
+kinds ``verify_parrondo`` draws, each input a trailing-axis view of
+coordinate-first rows; ``proper_quantized_gains_batch`` is timed again on
+C-ordered coins.  Each must first pass its suite check within 1e-12.
+Each ``verify`` suite is timed
 through ``run_suite`` at its default sample count and seed SEED, after one
 run whose report must pass.  The CLI cold start is a fresh interpreter
 running ``python -m hypergames.cli verify --suite corollary``, which must
@@ -81,6 +88,8 @@ REPEATS = {16384: 21, 100_000: 9}
 SUITE_REPEATS = 9
 INDIFFERENCE_SAMPLES = 1000
 INDIFFERENCE_REPEATS = 21
+PARRONDO_SAMPLES = 1000
+PARRONDO_REPEATS = 51
 SCALAR_REPEATS = 501
 COLD_START_REPEATS = 9
 COLD_START_ARGV = ("verify", "--suite", "corollary")
@@ -202,6 +211,60 @@ def equilibrium_op(rng):
 FRESH_ENTRIES = {"sweep_op": sweep_op, "equilibrium_op": equilibrium_op}
 
 
+def parrondo_inputs(rng, n):
+    """n samples of verify_parrondo's inputs, as trailing-axis views of
+    coordinate-first rows: coins, a weight and two games' coins in [0.02,
+    0.98], and multiplexer blocks and three qubits from Haar pairs."""
+    from hypergames.qstate import su2_matrices
+
+    u = 0.02 + (0.98 - 0.02) * rng.random((13, n))
+    v = rng.standard_normal((4, 7, n))
+    v /= np.linalg.norm(v, axis=0)
+    x, y = v[0] + 1j * v[1], v[2] + 1j * v[3]
+    blocks = su2_matrices(x[:4].T, y[:4].T)
+    qubits = [np.stack([x[k], y[k]]).T for k in (4, 5, 6)]
+    return u[:4].T, u[4], u[5:9].T, u[9:13].T, blocks, qubits
+
+
+def parrondo_layers(rng):
+    """The Parrondo batch kernels at PARRONDO_SAMPLES samples, each checked
+    as its verify_parrondo check is before it is timed."""
+    from hypergames.parrondo import (
+        block_unitarity_deviation,
+        fna_p_win_pair_batch,
+        proper_quantized_gains_batch,
+        sequence_quantized_gains_batch,
+        superposed_games_blocks,
+    )
+
+    coins, r, pa, pb, blocks, qubits = parrondo_inputs(rng, PARRONDO_SAMPLES)
+    deviations = {}
+    for name, (classical, quantum) in (
+            ("proper", proper_quantized_gains_batch(coins)),
+            ("sequence", sequence_quantized_gains_batch(r, pa, pb))):
+        deviations[name] = max(np.max(np.abs(g - classical)) for g in quantum.values())
+    superposed = superposed_games_blocks(r, pa, pb)
+    deviations["unitary"] = block_unitarity_deviation(superposed)
+    closed, direct = fna_p_win_pair_batch(blocks, *qubits)
+    deviations["fna"] = np.max(np.abs(closed - direct))
+    for what, value in deviations.items():
+        if not value < 1e-12:
+            raise SystemExit("parrondo %s check failed: %.3g" % (what, value))
+    c_coins = np.ascontiguousarray(coins)
+    return {
+        "proper_quantized_gains_batch": seconds_per_call(
+            proper_quantized_gains_batch, (coins,), PARRONDO_REPEATS),
+        "proper_quantized_gains_batch_c_order": seconds_per_call(
+            proper_quantized_gains_batch, (c_coins,), PARRONDO_REPEATS),
+        "sequence_quantized_gains_batch": seconds_per_call(
+            sequence_quantized_gains_batch, (r, pa, pb), PARRONDO_REPEATS),
+        "block_unitarity_deviation": seconds_per_call(
+            block_unitarity_deviation, (superposed,), PARRONDO_REPEATS),
+        "fna_p_win_pair_batch": seconds_per_call(
+            fna_p_win_pair_batch, (blocks, *qubits), PARRONDO_REPEATS),
+    }
+
+
 def fresh_entry(name):
     """Seconds per operation of one perfbench loop in this process."""
     ops, run, gate = FRESH_ENTRIES[name](np.random.default_rng(SEED))
@@ -311,6 +374,12 @@ def measure(src):
     if not theorem1_distribution(*families).max_deviation(
             oracle_distribution3(*one)) < TOL:
         raise SystemExit("theorem1 check failed at a batch of one")
+    from hypergames.parrondo import proper_quantized_gains
+
+    hd_coins = tuple(float(c) for c in parrondo_inputs(rng, 1)[0][0])
+    classical, gains = proper_quantized_gains(hd_coins)
+    if not max(abs(g - classical) for g in gains.values()) < 1e-12:
+        raise SystemExit("proper quantization check failed at a batch of one")
     return {
         "sizes": sizes,
         "indifference_check": seconds_per_call(
@@ -328,7 +397,10 @@ def measure(src):
             "oracle_distribution3": seconds_per_call(
                 oracle_distribution3, one, SCALAR_REPEATS),
             "landsburg_probs": seconds_per_call(landsburg_probs, one[:4], SCALAR_REPEATS),
+            "proper_quantized_gains": seconds_per_call(
+                proper_quantized_gains, (hd_coins,), SCALAR_REPEATS),
         },
+        "parrondo": parrondo_layers(rng),
         "verify_suites": verify_suites(),
         "fresh_process": {name: run_fresh(src, name) for name in FRESH_ENTRIES},
         "cli_cold_start": seconds_per_call(
