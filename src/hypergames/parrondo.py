@@ -22,7 +22,12 @@ multiplexer is its (..., 4, 2, 2) array of diagonal blocks, applied to
 scalar entry points pass a batch of one and take row 0, so they agree
 with the kernels' other rows bit for bit.  Multiplexer3 is the one scalar
 multiplexer: it stores the (4, 2, 2) array the kernels take and assembles
-the dense matrix from it on demand.
+the dense matrix from it on demand.  The kernels run coordinate-first on
+transposed views, one contiguous row per coordinate: coins (4, ...), states
+(8, ...), qubits (2, ...), blocks (2, 2, 4, ...) by row, column, history.
+Any input layout gives the bits of trailing-axis kernels: products and
+absolute values do not depend on layout, and numpy's short sums (pairwise
+over 8 terms, in turn over 2 or 4) and einsum's products are written out.
 
 History convention for the 4-state chain: state j means (result two steps
 ago, last result) in the order GG, GL, LG, LL, and coin j is the gain
@@ -50,14 +55,32 @@ class HDGameParams(NamedTuple):
     p4: float
 
 
+_BLOCK = (-2, -1, -3)  # a block's row, column and history axes, in row order
+
+
+def _rows(*items):
+    """Views of (array, axes) items with those axes leading and the batch
+    axes trailing, padded to one count so they broadcast as the arrays do."""
+    depth = max([a.ndim - len(axes) for a, axes in items])
+    batch = tuple(range(depth))
+    return [a[(None,) * (depth + len(axes) - a.ndim)].transpose(axes + batch)
+            for a, axes in items]
+
+
+def _trailing(rows, axes=(-1,)):
+    """The inverse of _rows: the leading axes of rows moved back to axes."""
+    k = len(axes)
+    return rows.transpose(*range(k, rows.ndim), *[axes.index(t) for t in range(-k, 0)])
+
+
 def _params(p):
     """Coin probabilities as a (..., 4) float array, each in [0, 1]."""
     p = np.asarray(p, dtype=float)
     if p.shape[-1:] != (4,):
         raise ValueError("expected 4 coin probabilities per game")
-    valid = ((0.0 <= p) & (p <= 1.0)).all(axis=-1)
-    if not valid.all():
-        first = p.reshape(-1, 4)[~valid.reshape(-1)][0]
+    inside = (0.0 <= p) & (p <= 1.0)
+    if not inside.all():
+        first = p.reshape(-1, 4)[~inside.all(axis=-1).reshape(-1)][0]
         raise ValueError(
             "coin probabilities must lie in [0, 1], got %r" % (HDGameParams(*map(float, first)),)
         )
@@ -89,14 +112,14 @@ def _hd_solve(p):
     where y does.  The complements are formed first, so p3 + (1 - p1) keeps
     every digit of a small p3 when p1 is near 1.
     """
-    p1, p2, p3, p4 = np.moveaxis(_params(p), -1, 0)
+    p1, p2, p3, p4 = _rows((_params(p), (-1,)))[0]
     n1, n2 = 1.0 - p1, 1.0 - p2
     y = p4 * (p3 + n1)
     if not np.all(y > 0.0):
         raise ValueError("history game undefined: y = p4(p3 + 1 - p1) vanishes")
-    norm = n1 * (2.0 * p4 + n2) + p3 * p4
-    raw = np.stack([p3 * p4, p4 * n1, p4 * n1, n1 * n2], axis=-1)
-    return raw / norm[..., np.newaxis], y / norm
+    gg, lost = p3 * p4, p4 * n1
+    norm = n1 * (2.0 * p4 + n2) + gg
+    return _trailing(np.stack([gg, lost, lost, n1 * n2]) / norm), y / norm
 
 
 def hd_stationary(p):
@@ -225,20 +248,19 @@ def coin_blocks(p, e):
     stays the coin's gain probability, which is what makes the quantization
     proper.
     """
-    gains = _params(p)
+    gains = _rows((_params(p), (-1,)))[0]
     kind, eta = _check_embedding(e)
     phase = eta.conjugate()
     keep = np.sqrt(gains)
     flip = np.sqrt(1.0 - gains)
-    if kind == TYPE1:
-        return su2_matrices(keep, -flip * phase)
-    return su2_matrices(1j * keep, 1j * flip * phase)
+    x, y = (keep, -flip * phase) if kind == TYPE1 else (1j * keep, 1j * flip * phase)
+    return su2_matrices(x, y).transpose(*range(1, gains.ndim), 0, -2, -1)
 
 
 def _superpose(gamma1, gamma2, blocks1, blocks2):
-    """gamma1 * blocks1 + gamma2 * blocks2 for (...) weights."""
-    w1, w2 = (np.asarray(g)[..., np.newaxis, np.newaxis, np.newaxis] for g in (gamma1, gamma2))
-    return w1 * blocks1 + w2 * blocks2
+    """gamma1 * blocks1 + gamma2 * blocks2 for (...) numpy weights."""
+    w1, w2, b1, b2 = _rows((gamma1, ()), (gamma2, ()), (blocks1, _BLOCK), (blocks2, _BLOCK))
+    return _trailing(w1 * b1 + w2 * b2, _BLOCK)
 
 
 def apply_blocks(blocks, state):
@@ -248,27 +270,30 @@ def apply_blocks(blocks, state):
     history j; that is the 8x8 block-diagonal matrix's product, whose
     off-block entries are zero.
     """
-    pairs = np.asarray(state, dtype=complex)
-    pairs = pairs.reshape(pairs.shape[:-1] + (4, 1, 2))
-    out = blocks[..., 0] * pairs[..., 0] + blocks[..., 1] * pairs[..., 1]
-    return out.reshape(out.shape[:-2] + (8,))
+    b, s = _rows((blocks, _BLOCK), (np.asarray(state, dtype=complex), (-1,)))
+    out = np.empty((4, 2) + np.broadcast_shapes(b.shape[3:], s.shape[1:]), dtype=complex)
+    rows = out.swapaxes(0, 1)  # row r of block j is amplitude 2j + r
+    np.multiply(b[:, 0], s[0::2], out=rows)
+    rows += b[:, 1] * s[1::2]
+    return _trailing(out.reshape((8,) + out.shape[2:]))
 
 
 def block_unitarity_deviation(blocks):
-    """Largest entry of B^H B - I over all 2x2 blocks.
+    """Largest entry of B^H B - I over all 2x2 blocks; 0.0 for no blocks.
 
     Equals the deviation of the assembled 8x8 matrices from unitarity:
-    their off-block entries are exact zeros.
+    their off-block entries are exact zeros.  B^H B[1, 0] is the conjugate
+    of B^H B[0, 1], so only the upper triangle is formed.
     """
-    gram = np.einsum("...ki,...kj->...ij", np.conj(blocks), blocks)
-    return float(np.max(np.abs(gram - np.eye(2))))
-
-
-# Flat indices into an 8x8 matrix of the four entries of each 2x2 diagonal
-# block, row by row.
-_DIAGONAL_BLOCK_INDEX = np.array(
-    [8 * (2 * j + r) + 2 * j + c for j in range(4) for r in (0, 1) for c in (0, 1)]
-)
+    (b,) = _rows((np.asarray(blocks, dtype=complex), _BLOCK))
+    if b.size == 0:
+        return 0.0
+    re, im = b.real, b.imag  # conj(a) b as einsum forms it, in real arithmetic
+    diagonal = re * re + im * im
+    upper = (re[:, 0] * re[:, 1] + im[:, 0] * im[:, 1]).astype(complex)
+    upper.imag = re[:, 0] * im[:, 1] - im[:, 0] * re[:, 1]
+    deviations = np.abs(diagonal[0] + diagonal[1] - 1.0), np.abs(upper[0] + upper[1])
+    return float(np.max([np.max(d) for d in deviations]))
 
 
 class Multiplexer3:
@@ -288,9 +313,10 @@ class Multiplexer3:
 
     @property
     def matrix(self):
-        m = np.zeros(64, dtype=complex)
-        m[_DIAGONAL_BLOCK_INDEX] = self.array.reshape(16)
-        return m.reshape(8, 8)
+        m = np.zeros((8, 8), dtype=complex)
+        for j in range(4):
+            m[2 * j:2 * j + 2, 2 * j:2 * j + 2] = self.array[j]
+        return m
 
     def __repr__(self):
         return "Multiplexer3(array=%r)" % (self.array,)
@@ -321,21 +347,36 @@ def proper_initial_state(pi):
         raise ValueError("history weights must be nonnegative")
     if not np.all(np.isfinite(pi)):
         raise ValueError("history weights must be finite")
-    if np.any(pi.sum(axis=-1) <= 0.0):
+    (rows,) = _rows((pi, (-1,)))
+    if np.any(sum(rows[1:], rows[0]) <= 0.0):
         raise ValueError("history weights must not all vanish")
-    amps = np.zeros(pi.shape[:-1] + (8,))
-    amps[..., 0::2] = np.sqrt(pi)
-    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+    root = np.sqrt(rows)
+    squares = root * root  # the norm's pairs, each with a zero slot
+    amps = np.zeros((8,) + pi.shape[:-1])
+    amps[0::2] = root / np.sqrt((squares[0] + squares[1]) + (squares[2] + squares[3]))
+    return _trailing(amps)
 
 
 def _unit_rows(v, size, what):
-    """v as complex (..., size) rows, each of unit norm."""
+    """v as complex (..., size) rows, each of unit norm; size 2 or 8."""
     v = np.asarray(v, dtype=complex)
     if v.shape[-1:] != (size,):
         raise ValueError("%s must have %d amplitudes" % (what, size))
-    if not (np.abs(np.linalg.norm(v, axis=-1) - 1.0) <= 1e-9).all():
+    norms = (np.conj(v) * v).real
+    while norms.shape[-1] > 1:
+        norms = norms[..., 0::2] + norms[..., 1::2]
+    if not (np.abs(np.sqrt(norms) - 1.0) <= 1e-9).all():
         raise ValueError("%s must have unit norm" % what)
     return v
+
+
+def _gain(blocks, init, win_qubit_value):
+    """quantized_p_gain_batch on unit states, forming only the winning rows."""
+    b, s = _rows((blocks, _BLOCK), (init, (-1,)))
+    out = b[win_qubit_value, 0] * s[0::2]
+    out += b[win_qubit_value, 1] * s[1::2]
+    out = np.abs(out) ** 2
+    return out[0] + out[1] + out[2] + out[3]
 
 
 def quantized_p_gain_batch(blocks, init, win_qubit_value):
@@ -347,8 +388,7 @@ def quantized_p_gain_batch(blocks, init, win_qubit_value):
     """
     if win_qubit_value not in (0, 1):
         raise ValueError("win_qubit_value must be 0 or 1")
-    out = apply_blocks(blocks, _unit_rows(init, 8, "initial state"))
-    return np.sum(np.abs(out[..., win_qubit_value::2]) ** 2, axis=-1)
+    return _gain(blocks, _unit_rows(init, 8, "initial state"), win_qubit_value)
 
 
 def quantized_p_gain(m, init, win_qubit_value):
@@ -362,8 +402,8 @@ def _quantized_gains(p, blocks):
     multiplexer, applied once to the coins' stationary-weighted embedded
     state; one solve of the chain serves all of them."""
     stationary, classical = _hd_solve(p)
-    init = proper_initial_state(stationary)
-    return classical, {k: quantized_p_gain_batch(b, init, 0) for k, b in blocks.items()}
+    init = _unit_rows(proper_initial_state(stationary), 8, "initial state")
+    return classical, {k: _gain(b, init, 0) for k, b in blocks.items()}
 
 
 def proper_quantized_gains_batch(p):
@@ -403,8 +443,9 @@ def superpose_mux(r, muxA, muxB):
 
 def _mixed_params(r, paramsA, paramsB):
     """The coins of game A played with probability r, game B otherwise."""
-    r = _weight(r, "mixing")[..., np.newaxis]
-    return r * _params(paramsA) + (1.0 - r) * _params(paramsB)
+    r = _weight(r, "mixing")
+    r, a, b = _rows((r, ()), (_params(paramsA), (-1,)), (_params(paramsB), (-1,)))
+    return _trailing(r * a + (1.0 - r) * b)
 
 
 def superposed_games_blocks(r, paramsA, paramsB):
@@ -450,14 +491,13 @@ def fna_p_win_batch(blocks, q1, q2, q3):
     short weighted sum.
     """
     q1, q2, q3 = (_unit_rows(q, 2, "qubit states") for q in (q1, q2, q3))
-    x, y = blocks[..., 0, 0], blocks[..., 0, 1]
-    loss_to_win = (
-        np.abs(np.conj(x) * q3[..., 1, np.newaxis] - np.conj(y) * q3[..., 0, np.newaxis]) ** 2
-    )
+    b, q1, q2, q3 = _rows((blocks, _BLOCK), *((q, (-1,)) for q in (q1, q2, q3)))
+    x, y = b[0, 0], b[0, 1]
+    loss_to_win = np.abs(np.conj(x) * q3[1] - np.conj(y) * q3[0]) ** 2
     w1, w2 = np.abs(q1) ** 2, np.abs(q2) ** 2
-    first = w2[..., 0] * loss_to_win[..., 0] + w2[..., 1] * loss_to_win[..., 1]
-    second = w2[..., 0] * loss_to_win[..., 2] + w2[..., 1] * loss_to_win[..., 3]
-    return w1[..., 0] * first + w1[..., 1] * second
+    first = w2[0] * loss_to_win[0] + w2[1] * loss_to_win[1]
+    second = w2[0] * loss_to_win[2] + w2[1] * loss_to_win[3]
+    return w1[0] * first + w1[1] * second
 
 
 def fna_p_win_pair_batch(blocks, q1, q2, q3):

@@ -71,18 +71,18 @@ def check_unit_pairs(*pairs, atol=1e-9):
 def su2_matrices(x, y):
     """SU(2) matrices [[x, y], [-conj(y), conj(x)]] of amplitude arrays.
 
-    x and y broadcast against each other; returns shape (..., 2, 2).  Every
-    (x, y) pair must pass check_unit_pairs.
+    x and y broadcast against each other; returns a (..., 2, 2) view of
+    (2, 2, ...) memory.  Every (x, y) pair must pass check_unit_pairs.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     check_unit_pairs((x, y))
-    m = np.empty(np.broadcast(x, y).shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = x
-    m[..., 0, 1] = y
-    m[..., 1, 0] = -np.conj(y)
-    m[..., 1, 1] = np.conj(x)
-    return m
+    m = np.empty((2, 2) + np.broadcast(x, y).shape, dtype=complex)
+    m[0, 0] = x
+    m[0, 1] = y
+    m[1, 0] = -np.conj(y)
+    m[1, 1] = np.conj(x)
+    return m.transpose(*range(2, m.ndim), 0, 1)
 
 
 def _entangled_rows(*gates, out=None):

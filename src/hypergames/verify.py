@@ -156,19 +156,14 @@ def verify_parrondo(samples=None, seed=0, tol=1e-12):
     rng = np.random.default_rng(seed)
     checks = []
 
-    dev_b = np.max(
-        np.abs(capital_game_stationary(0.1, 0.75) - np.array([5.0, 2.0, 6.0]) / 13.0)
-    )
-    dev_mix = np.max(
-        np.abs(
-            capital_game_stationary(0.3, 0.625) - np.array([245.0, 180.0, 284.0]) / 709.0
-        )
-    )
+    dev_b = np.max(np.abs(capital_game_stationary(0.1, 0.75) - np.array([5.0, 2.0, 6.0]) / 13.0))
+    golden = np.array([245.0, 180.0, 284.0]) / 709.0
+    dev_mix = np.max(np.abs(capital_game_stationary(0.3, 0.625) - golden))
     checks.append(check_record("capital-game stationary states", 2, tol, max(dev_b, dev_mix)))
 
-    u = rng.random((samples, 13))
+    u = rng.random((samples, 13)).T.copy()  # one row per draw of a sample
     scaled = 0.02 + (0.98 - 0.02) * u  # rng.uniform(0.02, 0.98) of the same draws
-    coins, r, pa, pb = scaled[:, :4], u[:, 4], scaled[:, 5:9], scaled[:, 9:13]
+    coins, r, pa, pb = scaled[:4].T, u[4], scaled[5:9].T, scaled[9:13].T
 
     classical, quantum = proper_quantized_gains_batch(coins)
     dev_proper = max(np.max(np.abs(g - classical)) for g in quantum.values())
@@ -179,21 +174,16 @@ def verify_parrondo(samples=None, seed=0, tol=1e-12):
     checks.append(check_record("randomized-sequence quantizations mix coins", samples, tol, dev_sequence))
     checks.append(check_record("superposed multiplexers stay unitary", samples, tol, dev_unitary))
 
-    x, y = (v.reshape(samples, 7) for v in _random_pairs(rng, 7 * samples))
-    qubits = (np.stack([x[:, k], y[:, k]], axis=-1) for k in (4, 5, 6))
-    closed, direct = fna_p_win_pair_batch(su2_matrices(x[:, :4], y[:, :4]), *qubits)
+    x, y = np.empty((2, 7, samples), dtype=complex)  # one row per Haar pair of a sample
+    x.real, x.imag, y.real, y.imag = _unit_gaussian_rows(rng, 7 * samples).reshape(samples, 7, 4).T
+    blocks = np.moveaxis(su2_matrices(x[:4], y[:4]), 0, -3)
+    closed, direct = fna_p_win_pair_batch(blocks, *(np.stack([x[k], y[k]]).T for k in (4, 5, 6)))
     dev_fna = np.max(np.abs(closed - direct))
     checks.append(check_record("product-state closed form vs simulation", samples, tol, dev_fna))
 
-    effect = parrondo_effect_check(1.0 / 200.0)
-    checks.append(
-        check_record(
-            "losing games combine into a winning mixture at epsilon 1/200",
-            1,
-            0.0,
-            0.0 if effect["effect"] else 1.0,
-        )
-    )
+    effect = parrondo_effect_check(1.0 / 200.0)["effect"]
+    checks.append(check_record(
+        "losing games combine into a winning mixture at epsilon 1/200", 1, 0.0, 0.0 if effect else 1.0))
     return _report("parrondo", seed, checks)
 
 
