@@ -27,7 +27,7 @@ transposed views, one contiguous row per coordinate: coins (4, ...), states
 (8, ...), qubits (2, ...), blocks (2, 2, 4, ...) by row, column, history.
 Any input layout gives the bits of trailing-axis kernels: products and
 absolute values do not depend on layout, and numpy's short sums (pairwise
-over 8 terms, in turn over 2 or 4) and einsum's products are written out.
+over 8 terms, left to right over 2 or 4) and einsum's products are spelt out.
 
 History convention for the 4-state chain: state j means (result two steps
 ago, last result) in the order GG, GL, LG, LL, and coin j is the gain

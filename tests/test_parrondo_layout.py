@@ -298,8 +298,10 @@ def kernel_pairs(d, layout):
     ]
 
 
-def assert_kernels_match(d, layout):
+def assert_kernels_match(d, layout, skip=()):
     for name, change, reference in kernel_pairs(d, layout):
+        if name in skip:
+            continue
         got, expected = change(), reference()
         if isinstance(expected, list):
             assert all(same(g, e) for g, e in zip(got, expected)), name
@@ -316,19 +318,12 @@ def test_suite_inputs_keep_their_bits(seed, layout):
     assert_kernels_match(suite_inputs(seed), layout)
 
 
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("samples", [0, 1, 3])
-def test_small_and_empty_batches_keep_their_bits(samples):
-    d = suite_inputs(11, samples)
-    if samples == 0:
-        for name, change, reference in kernel_pairs(d, "c_order"):
-            if name == "block_unitarity_deviation":
-                assert change() == [0.0, 0.0, 0.0]
-            else:
-                assert all(same(g, e) for g, e in zip(change(), reference())) \
-                    if isinstance(reference(), list) else same(change(), reference()), name
-        return
-    for layout in LAYOUTS:
-        assert_kernels_match(d, layout)
+def test_small_and_empty_batches_keep_their_bits(samples, layout):
+    # the reference's unitarity deviation raises on no blocks; see below
+    skip = ("block_unitarity_deviation",) if samples == 0 else ()
+    assert_kernels_match(suite_inputs(11, samples), layout, skip)
 
 
 def test_one_block_set_against_many_states():
@@ -464,9 +459,9 @@ def test_state_and_qubit_errors_are_the_same():
     bad_states[2] = states[:, :6]
     for bad in bad_states:
         for layout in LAYOUTS:
-            bad = LAYOUTS[layout](bad, 1)
-            assert raised(quantized_p_gain_batch, blocks, bad, 0) == raised(
-                ref_quantized_p_gain_batch, blocks, bad, 0)
+            laid = LAYOUTS[layout](bad, 1)
+            assert raised(quantized_p_gain_batch, blocks, laid, 0) == raised(
+                ref_quantized_p_gain_batch, blocks, laid, 0)
     assert raised(quantized_p_gain_batch, blocks, states, 2) == raised(
         ref_quantized_p_gain_batch, blocks, states, 2)
     for k in range(3):
