@@ -7,6 +7,12 @@ seeded closed-form-versus-state-vector suites, and `parrondo` analyzes the
 coin games and their quantizations.  Reports print as text or JSON; JSON
 reports round-trip through json.loads.  Exit status: 0 when every check
 passed, 1 when a check failed, 2 on usage or input errors.
+
+The library builds every report: coordgame.distribution_report,
+equilibria.equilibrium_report, verify.run_suite and the parrondo *_report
+builders.  This module only parses the command line, calls the builder,
+adds echoes of its input (the command, the strategies and their warnings,
+the game's name) and renders the result.
 """
 
 import argparse
@@ -16,32 +22,16 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import verify as verify_suites
-from .coordgame import embed3, landsburg_probs, theorem1_distribution
+from .coordgame import METHODS, distribution_report, distribution_route
 from .equilibria import (
     BUILTIN_GAME_NAMES,
     builtin_game_file,
-    classical_pure_scan,
-    indifference_check,
+    equilibrium_report,
     load_game_file,
-    special_payoff_check,
 )
-from .parrondo import (
-    HDGameParams,
-    Multiplexer3,
-    capital_chain,
-    classify_gain,
-    fna_p_win_pair,
-    hd_chain,
-    hd_params_reversed,
-    parrondo_effect_check,
-    proper_quantized_gains,
-    sequence_quantized_gains,
-)
-from .qstate import SU2Gate, oracle_distribution2, oracle_distribution3
-from .verify import RECORD_KEYS, all_passed, check_record, records
+from .parrondo import capital_report, fna_report, hd_report, sequence_report
+from .records import RECORD_KEYS, all_passed, records
+from .verify import run_suite
 
 NORM_WARN = 1e-9
 NORM_ERROR = 1e-3
@@ -88,7 +78,7 @@ def parse_float_list(text, count, flag):
         vals = [float(p) for p in parts]
     except ValueError:
         raise InputError("%s contains a non-numeric entry: %r" % (flag, text))
-    if not np.all(np.isfinite(vals)):
+    if not all(math.isfinite(v) for v in vals):
         raise InputError("%s contains a non-finite entry: %r" % (flag, text))
     return vals
 
@@ -138,196 +128,51 @@ def resolve_game(source):
 
 
 def cmd_distribution(args):
-    pairs = []
-    warnings = []
-    for text in args.strategies:
-        a, b, warning = parse_strategy(text)
-        pairs.append((a, b))
-        if warning:
-            warnings.append(warning)
-    players = len(pairs)
-    if players not in (2, 3):
-        raise InputError("give 2 or 3 strategies, one per player")
-    method = args.method
-    if method == "octonion" and players != 3:
-        raise InputError("the octonion route needs 3 players")
-    if method == "quaternion" and players != 2:
-        raise InputError("the quaternion route needs 2 players")
-
-    flat = [z for pair in pairs for z in pair]
-
-    def closed_route():
-        if players == 3:
-            return theorem1_distribution(
-                *(embed3(k + 1, a, b) for k, (a, b) in enumerate(pairs))
-            )
-        return landsburg_probs(*flat)
-
-    oracle_route = oracle_distribution3 if players == 3 else oracle_distribution2
-    report = {
+    parsed = [parse_strategy(text) for text in args.strategies]
+    pairs = [(a, b) for a, b, _ in parsed]
+    echo = {
         "command": "distribution",
-        "players": players,
-        "method": method,
         "strategies": [[a.real, a.imag, b.real, b.imag] for a, b in pairs],
-        "warnings": warnings,
+        "warnings": [warning for _, _, warning in parsed if warning],
     }
-    closed = None if method == "oracle" else closed_route()
-    oracle = oracle_route(*flat) if method in ("oracle", "both") else None
-    distribution = oracle if closed is None else closed
-    report["distribution"] = distribution.as_dict()
-    if method == "both":
-        report["oracle_distribution"] = oracle.as_dict()
-        report["comparison"] = check_record(
-            "closed form vs state vector", 1, args.tol, closed.max_deviation(oracle)
-        )
-
+    game = None
     if args.game is not None:
-        game, name = resolve_game(args.game)
-        if game.players != players:
+        distribution_route(len(pairs), args.method)  # count and route errors first
+        game, echo["game"] = resolve_game(args.game)
+        if game.players != len(pairs):
             raise InputError(
                 "game %s is for %d players but %d strategies were given"
-                % (name, game.players, players)
+                % (echo["game"], game.players, len(pairs))
             )
-        report["game"] = name
-        report["payoffs"] = game.payoffs_under(distribution.probs).tolist()
-    return report
+    return {**echo, **distribution_report(pairs, args.method, args.tol, game)}
 
 
 def cmd_equilibrium(args):
     game, name = resolve_game(args.game)
-    if game.players != 3:
-        raise InputError("equilibrium analysis needs a 3-player game file")
-    notes = []
-    defects = dict(game.zero_sum_defects())
-    if game.zero_sum_claimed and defects:
-        notes.append(
-            "zero-sum claim violated: "
-            + ", ".join("%s sums to %g" % (lbl, s) for lbl, s in sorted(defects.items()))
-        )
-    rng = np.random.default_rng(args.seed)
-    indifference = [
-        indifference_check(k, game, samples=args.samples, tol=args.tol, rng=rng)
-        for k in (1, 2, 3)
-    ]
-    pure = classical_pure_scan(game)
-    for label, payoffs in pure:
-        notes.append(
-            "classical pure equilibrium at %s paying (%g, %g, %g)" % ((label,) + payoffs)
-        )
-    if not pure:
-        notes.append("no classical pure equilibrium")
-    return {
-        "command": "equilibrium",
-        "game": name,
-        "players": 3,
-        "zero_sum_claimed": bool(game.zero_sum_claimed),
-        "zero_sum_defects": {lbl: float(s) for lbl, s in defects.items()},
-        "samples": int(args.samples),
-        "seed": int(args.seed),
-        "special_payoffs": [special_payoff_check(k, game) for k in (1, 2, 3)],
-        "indifference": indifference,
-        "classical_pure_equilibria": [
-            {"profile": label, "payoffs": list(payoffs)} for label, payoffs in pure
-        ],
-        "notes": notes,
-    }
+    report = equilibrium_report(game, args.samples, args.tol, args.seed)
+    return {"command": "equilibrium", "game": name, **report}
 
 
 def cmd_verify(args):
-    return verify_suites.run_suite(args.suite, samples=args.samples, seed=args.seed)
-
-
-def _gain_checks(key, gains, classical):
-    """Each quantized gain checked against the classical gain it reproduces."""
-    return [
-        check_record(
-            "quantization reproduces the classical gain",
-            1,
-            1e-12,
-            abs(gain - classical),
-            **{key: name},
-            p_gain=gain,
-        )
-        for name, gain in gains.items()
-    ]
-
-
-def _residual_check(residual):
-    return check_record("stationary state is a fixed point of the chain", 1, 1e-12, residual)
+    return run_suite(args.suite, samples=args.samples, seed=args.seed)
 
 
 def cmd_parrondo(args):
     if args.game == "hd":
         if args.coins is None:
             raise InputError("--coins p1,p2,p3,p4 is required for the hd game")
-        coins = HDGameParams(*parse_float_list(args.coins, 4, "--coins"))
-        stationary, residual = hd_chain(coins)
-        classical, gains = proper_quantized_gains(coins)
-        return {
-            "command": "parrondo",
-            "game": "hd",
-            "coins": list(coins),
-            "stationary": [float(x) for x in stationary],
-            "fixed_point_residual": _residual_check(residual),
-            "classical_p_gain": float(classical),
-            "quantum_p_gain": _gain_checks("embedding", gains, classical),
-            "classification": classify_gain(classical),
-        }
-
-    if args.game == "capital":
+        report = hd_report(parse_float_list(args.coins, 4, "--coins"))
+    elif args.game == "capital":
         for v, flag in ((args.p1, "--p1"), (args.p2, "--p2")):
             if v is None:
                 raise InputError("%s is required for the capital game" % flag)
-        stationary, residual, gain = capital_chain(args.p1, args.p2)
-        return {
-            "command": "parrondo",
-            "game": "capital",
-            "coins": [float(args.p1), float(args.p2)],
-            "stationary": [float(x) for x in stationary],
-            "fixed_point_residual": _residual_check(residual),
-            "classical_p_gain": float(gain),
-            "classification": classify_gain(gain),
-        }
-
-    if args.game == "sequence":
-        effect = parrondo_effect_check(args.epsilon)
-        classical, gains = sequence_quantized_gains(
-            0.5,
-            (effect["single_coin_gain"],) * 4,
-            hd_params_reversed(effect["history_coins_loss_first"]),
-        )
-        return {
-            "command": "parrondo",
-            "game": "sequence",
-            "effect_check": effect,
-            "mixture_p_gain": float(classical),
-            "mixture_classification": classify_gain(classical),
-            "quantum_p_gain": _gain_checks("construction", gains, classical),
-        }
-
-    # fna
-    thetas = parse_float_list(args.thetas, 4, "--thetas")
-    phis = parse_float_list(args.phis, 4, "--phis")
-    etas = parse_float_list(args.etas, 4, "--etas")
-    gates = [
-        SU2Gate(np.exp(1j * phi) * np.cos(theta / 2.0), np.exp(1j * eta) * np.sin(theta / 2.0))
-        for theta, phi, eta in zip(thetas, phis, etas)
-    ]
-    equal = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    p_win, simulated = fna_p_win_pair(Multiplexer3(gates), equal, equal, equal)
-    return {
-        "command": "parrondo",
-        "game": "fna",
-        "thetas": thetas,
-        "phis": phis,
-        "etas": etas,
-        "p_win": float(p_win),
-        "simulated_p_win": float(simulated),
-        "comparison": check_record(
-            "product-state closed form vs simulation", 1, 1e-12, abs(p_win - simulated)
-        ),
-        "classification": classify_gain(p_win),
-    }
+        report = capital_report(args.p1, args.p2)
+    elif args.game == "sequence":
+        report = sequence_report(args.epsilon)
+    else:
+        angles = [(args.thetas, "--thetas"), (args.phis, "--phis"), (args.etas, "--etas")]
+        report = fna_report(*(parse_float_list(text, 4, flag) for text, flag in angles))
+    return {"command": "parrondo", "game": args.game, **report}
 
 
 def _fmt(x):
@@ -443,7 +288,7 @@ def build_parser():
     )
     p_dist.add_argument(
         "--method",
-        choices=("octonion", "quaternion", "oracle", "both"),
+        choices=METHODS,
         default="both",
         help="closed-form route, state-vector oracle, or both with a comparison",
     )

@@ -39,7 +39,10 @@ from .qstate import (
     check_unit_pairs,
     in_blocks,
     normalized,
+    oracle_probs2_batch,
+    oracle_probs3_batch,
 )
+from .records import check_record
 
 # Octonion basis index -> outcome label.  Index 0 is the real unit.
 OUTCOME_OF_INDEX = ("NNN", "FFF", "NFF", "FFN", "FNN", "FNF", "NFN", "NNF")
@@ -147,9 +150,6 @@ class OctStrategyFamily:
     @property
     def o01(self):
         return Octonion(_negated(self.o00.c, 1))
-
-    def members(self):
-        return self.o00, self.o10, self.o01
 
     def __repr__(self):
         return "OctStrategyFamily(player=%r, o00=%r)" % (self.player, self.o00)
@@ -381,3 +381,54 @@ def landsburg_probs(A, B, P, Q):
     batch of one through landsburg_probs_batch."""
     probs = landsburg_probs_batch(*batch_of_one(A, B, P, Q))
     return OutcomeDistribution(ACTION_LABELS2, probs[0])
+
+
+# One route table per player count, read by the `distribution` report and
+# by the theorem1 and landsburg suites.  Each table is a module-level dict
+# of its own, so a wrapper set over a kernel's module name and over the
+# module's dict values, as perfbench's tracer sets one, reaches the kernel.
+_ROUTE3 = {"closed": theorem1_probs_batch, "oracle": oracle_probs3_batch,
+           "name": "octonion", "labels": ACTION_LABELS3}
+_ROUTE2 = {"closed": landsburg_probs_batch, "oracle": oracle_probs2_batch,
+           "name": "quaternion", "labels": ACTION_LABELS2}
+ROUTES = {3: _ROUTE3, 2: _ROUTE2}
+METHODS = ("octonion", "quaternion", "oracle", "both")
+
+
+def distribution_route(players, method):
+    """The route table of the player count, checked against the method."""
+    if players not in ROUTES:
+        raise ValueError("give 2 or 3 strategies, one per player")
+    if method not in METHODS:
+        raise ValueError("method must be one of %s, got %r" % (METHODS, method))
+    for count, route in ROUTES.items():
+        if method == route["name"] and count != players:
+            raise ValueError("the %s route needs %d players" % (method, count))
+    return ROUTES[players]
+
+
+def distribution_report(pairs, method, tol, game=None):
+    """The `distribution` report of one unit (A, B) pair per player.
+
+    method names a closed route, "oracle", or "both", which adds the
+    oracle's distribution and a record comparing the routes to tol.  Each
+    route's batch kernel runs on a batch of one, whose row has the bits of
+    the scalar wrappers.  game, a PayoffTable, adds the expected payoffs.
+    """
+    route = distribution_route(len(pairs), method)
+    flat = batch_of_one(*(z for pair in pairs for z in pair))
+
+    def run(kernel):
+        return OutcomeDistribution(route["labels"], route[kernel](*flat)[0])
+
+    closed = None if method == "oracle" else run("closed")
+    oracle = run("oracle") if method in ("oracle", "both") else None
+    distribution = oracle if closed is None else closed
+    report = {"players": len(pairs), "method": method, "distribution": distribution.as_dict()}
+    if method == "both":
+        report["oracle_distribution"] = oracle.as_dict()
+        deviation = closed.max_deviation(oracle)
+        report["comparison"] = check_record("closed form vs state vector", 1, tol, deviation)
+    if game is not None:
+        report["payoffs"] = game.payoffs_under(distribution.probs).tolist()
+    return report

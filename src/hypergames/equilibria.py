@@ -35,7 +35,7 @@ from .coordgame import (
 )
 from .hypercomplex import Octonion
 from .qstate import _unit_gaussian_rows, outcome_labels
-from .verify import check_record
+from .records import check_record
 
 # Largest payoff magnitude a game file may hold.  Below it a sum of 16
 # payoffs (indifference_check averages over 16 basis pairs), and the
@@ -114,6 +114,8 @@ class PayoffTable:
         Adds the label columns one at a time in label order, so each total
         rounds like a sum written out by hand.
         """
+        if len(probs) != len(self.labels):
+            raise ValueError("expected %d outcome probabilities" % len(self.labels))
         totals = np.zeros(self.players)
         for prob, column in zip(probs, self.payoffs.T):
             totals += prob * column
@@ -337,3 +339,41 @@ def classical_mixed_payoff(game, p, q, r):
     first, second, third = ((1.0 - x, x) for x in flip)
     weights = np.multiply.outer(np.multiply.outer(first, second), third)
     return tuple(game.payoffs_under(weights.ravel()).tolist())
+
+
+def equilibrium_report(game, samples, tol, seed):
+    """The `equilibrium` report of a three player table.
+
+    The quarter-weight mixtures' special payoffs, each player's indifference
+    check over samples seeded draws to tol, the classical pure equilibria,
+    and notes on them and on a violated zero-sum claim.
+    """
+    if game.players != 3:
+        raise ValueError("equilibrium analysis needs a 3-player game file")
+    notes = []
+    defects = dict(game.zero_sum_defects())
+    if game.zero_sum_claimed and defects:
+        notes.append(
+            "zero-sum claim violated: "
+            + ", ".join("%s sums to %g" % (lbl, s) for lbl, s in sorted(defects.items()))
+        )
+    rng = np.random.default_rng(seed)
+    indifference = [indifference_check(k, game, samples, tol, rng) for k in (1, 2, 3)]
+    pure = classical_pure_scan(game)
+    notes += [
+        "classical pure equilibrium at %s paying (%g, %g, %g)" % ((label,) + payoffs)
+        for label, payoffs in pure
+    ] or ["no classical pure equilibrium"]
+    return {
+        "players": 3,
+        "zero_sum_claimed": bool(game.zero_sum_claimed),
+        "zero_sum_defects": {lbl: float(s) for lbl, s in defects.items()},
+        "samples": int(samples),
+        "seed": int(seed),
+        "special_payoffs": [special_payoff_check(k, game) for k in (1, 2, 3)],
+        "indifference": indifference,
+        "classical_pure_equilibria": [
+            {"profile": label, "payoffs": list(payoffs)} for label, payoffs in pure
+        ],
+        "notes": notes,
+    }

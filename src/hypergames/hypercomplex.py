@@ -194,13 +194,6 @@ def oct_conj(a):
     return Octonion(c) if isinstance(a, Octonion) else c
 
 
-def oct_project(a, k):
-    """Coefficient of basis element k, with k = 0 the real part."""
-    if not 0 <= k <= 7:
-        raise IndexError("octonion basis index must lie in 0..7")
-    return _coeffs(a)[..., k]
-
-
 def oct_norm(a):
     return np.sqrt(np.sum(_coeffs(a) ** 2, axis=-1))
 

@@ -41,6 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .qstate import ETA3, SU2Gate, batch_of_one, su2_matrices
+from .records import check_record
 
 TYPE1 = "type1"
 TYPE2 = "type2"
@@ -143,13 +144,6 @@ def hd_p_gain(p):
 
 def _fixed_point_residual(matrix, stationary):
     return float(np.max(np.abs(matrix @ stationary - stationary)))
-
-
-def hd_chain(p):
-    """Stationary state of the history chain and the largest change one
-    chain step makes to it, its fixed-point residual."""
-    stationary = hd_stationary(p)
-    return stationary, _fixed_point_residual(hd_transition_matrix(p), stationary)
 
 
 def hd_params_reversed(p):
@@ -362,9 +356,12 @@ def _unit_rows(v, size, what):
     v = np.asarray(v, dtype=complex)
     if v.shape[-1:] != (size,):
         raise ValueError("%s must have %d amplitudes" % (what, size))
-    norms = (np.conj(v) * v).real
-    while norms.shape[-1] > 1:
-        norms = norms[..., 0::2] + norms[..., 1::2]
+    # An infinite or huge amplitude gives a NaN or infinite norm, which the
+    # check rejects, without numpy's warning on the way.
+    with np.errstate(invalid="ignore", over="ignore"):
+        norms = (np.conj(v) * v).real
+        while norms.shape[-1] > 1:
+            norms = norms[..., 0::2] + norms[..., 1::2]
     if not (np.abs(np.sqrt(norms) - 1.0) <= 1e-9).all():
         raise ValueError("%s must have unit norm" % what)
     return v
@@ -397,11 +394,11 @@ def quantized_p_gain(m, init, win_qubit_value):
     return float(quantized_p_gain_batch(*batch_of_one(m.array, init), win_qubit_value)[0])
 
 
-def _quantized_gains(p, blocks):
-    """Classical gains of history coins (..., 4) and the gains of each named
+def _quantized_gains(solved, blocks):
+    """Classical gains of history coins and the gains of each named
     multiplexer, applied once to the coins' stationary-weighted embedded
-    state; one solve of the chain serves all of them."""
-    stationary, classical = _hd_solve(p)
+    state; solved, the coins' _hd_solve, serves all of them."""
+    stationary, classical = solved
     init = _unit_rows(proper_initial_state(stationary), 8, "initial state")
     return classical, {k: _gain(b, init, 0) for k, b in blocks.items()}
 
@@ -412,8 +409,12 @@ def proper_quantized_gains_batch(p):
     Returns (classical, {TYPE1: gains, TYPE2: gains}) for (..., 4) coins;
     being proper, both quantizations reproduce the classical gain.
     """
+    return _proper_gains(p, _hd_solve(p))
+
+
+def _proper_gains(p, solved):
     blocks = {kind: coin_blocks(p, CoinEmbedding(kind)) for kind in (TYPE1, TYPE2)}
-    return _quantized_gains(p, blocks)
+    return _quantized_gains(solved, blocks)
 
 
 def proper_quantized_gains(p):
@@ -472,7 +473,7 @@ def sequence_quantized_gains_batch(r, paramsA, paramsB):
         "superposed": superposed_games_blocks(r, paramsA, paramsB),
         "second_quantization": coin_blocks(mixed, CoinEmbedding(TYPE1)),
     }
-    return _quantized_gains(mixed, blocks)
+    return _quantized_gains(_hd_solve(mixed), blocks)
 
 
 def sequence_quantized_gains(r, paramsA, paramsB):
@@ -572,4 +573,93 @@ def parrondo_effect_check(epsilon):
         "p_gain_b": float(p_gain_b),
         "p_gain_mixture": float(p_gain_mixture),
         "effect": ineq_a and ineq_b and ineq_c,
+    }
+
+
+# Tolerance of the coin-game reports' identity checks.
+REPORT_TOL = 1e-12
+
+
+def _gain_checks(key, gains, classical):
+    """Each quantized gain checked against the classical gain it reproduces."""
+    return [check_record("quantization reproduces the classical gain", 1, REPORT_TOL,
+                         abs(gain - classical), **{key: name}, p_gain=gain)
+            for name, gain in gains.items()]
+
+
+def _residual_check(residual):
+    return check_record("stationary state is a fixed point of the chain", 1, REPORT_TOL, residual)
+
+
+def hd_report(coins):
+    """The `parrondo --game hd` report of four history coins: the stationary
+    state and its fixed-point residual, the classical gain, and the two
+    proper quantizations' gains checked against it, from one chain solve."""
+    coins = [float(c) for c in coins]
+    p = batch_of_one(coins)[0]
+    solved = _hd_solve(p)
+    classical, gains = _proper_gains(p, solved)
+    stationary, classical = solved[0][0], float(classical[0])
+    residual = _fixed_point_residual(hd_transition_matrix(coins), stationary)
+    return {
+        "coins": coins,
+        "stationary": [float(x) for x in stationary],
+        "fixed_point_residual": _residual_check(residual),
+        "classical_p_gain": classical,
+        "quantum_p_gain": _gain_checks(
+            "embedding", {kind: float(g[0]) for kind, g in gains.items()}, classical),
+        "classification": classify_gain(classical),
+    }
+
+
+def capital_report(p1, p2):
+    """The `parrondo --game capital` report of the two capital coins."""
+    stationary, residual, gain = capital_chain(p1, p2)
+    return {
+        "coins": [float(p1), float(p2)],
+        "stationary": [float(x) for x in stationary],
+        "fixed_point_residual": _residual_check(residual),
+        "classical_p_gain": float(gain),
+        "classification": classify_gain(gain),
+    }
+
+
+def sequence_report(epsilon):
+    """The `parrondo --game sequence` report: parrondo_effect_check at
+    epsilon, and the mixture's quantizations checked against its gain."""
+    effect = parrondo_effect_check(epsilon)
+    classical, gains = sequence_quantized_gains(
+        0.5,
+        (effect["single_coin_gain"],) * 4,
+        hd_params_reversed(effect["history_coins_loss_first"]),
+    )
+    return {
+        "effect_check": effect,
+        "mixture_p_gain": float(classical),
+        "mixture_classification": classify_gain(classical),
+        "quantum_p_gain": _gain_checks("construction", gains, classical),
+    }
+
+
+def fna_report(thetas, phis, etas):
+    """The `parrondo --game fna` report: coin j is the SU(2) gate
+    (e^{i phi_j} cos(theta_j / 2), e^{i eta_j} sin(theta_j / 2)), the three
+    qubits start in the equal superposition, and the closed form's win
+    probability is checked against direct simulation."""
+    gates = [
+        SU2Gate(np.exp(1j * phi) * np.cos(theta / 2.0), np.exp(1j * eta) * np.sin(theta / 2.0))
+        for theta, phi, eta in zip(thetas, phis, etas)
+    ]
+    equal = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    p_win, simulated = fna_p_win_pair(Multiplexer3(gates), equal, equal, equal)
+    comparison = check_record(
+        "product-state closed form vs simulation", 1, REPORT_TOL, abs(p_win - simulated))
+    return {
+        "thetas": list(thetas),
+        "phis": list(phis),
+        "etas": list(etas),
+        "p_win": p_win,
+        "simulated_p_win": simulated,
+        "comparison": comparison,
+        "classification": classify_gain(p_win),
     }

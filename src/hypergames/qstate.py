@@ -216,31 +216,16 @@ def _two_term(v, c, d, out=None, term=None):
     return w
 
 
-def _on_last_axis(v, c, d):
-    """_two_term over the last axis of v, shape (..., 2**n)."""
-    v = np.asarray(v, dtype=complex)
-    return _two_term(v.reshape(-1, v.shape[-1]).T, c, d).T.reshape(v.shape)
-
-
 def to_action_basis3(v, eta_value=ETA3):
     """Computational-basis amplitudes, shape (..., 8), in the action basis."""
-    return _on_last_axis(v, *_basis_change(3, complex(eta_value)))
-
-
-def game_state2(A, B, P, Q):
-    """Two-player game state, normalized, order (00, 01, 10, 11): the gates
-    (A, B) and (P, Q) applied to (|00> + |11>)/sqrt(2)."""
-    check_unit_pairs((A, B), (P, Q))
-    return entangled_state((A, B), (P, Q)) / np.sqrt(2.0)
+    v = np.asarray(v, dtype=complex)
+    c, d = _basis_change(3, complex(eta_value))
+    return _two_term(v.reshape(-1, v.shape[-1]).T, c, d).T.reshape(v.shape)
 
 
 def basis_matrix2(eta_value=ETA2):
     """Two-player action-basis matrix; columns follow ACTION_LABELS2, unitary."""
     return _label_states(2, eta_value) / np.sqrt(2.0)
-
-
-def to_action_basis2(v, eta_value=ETA2):
-    return _on_last_axis(v, *_basis_change(2, complex(eta_value)))
 
 
 class OutcomeDistribution:

@@ -5,14 +5,14 @@ under, a list of check records, and an overall pass flag.  Reports contain
 only JSON types and no wall-clock data, so a fixed seed reproduces them byte
 for byte.
 
-`check_record` is the one builder of check records for the whole package;
-every command's report carries its checks in that shape, and `records`
-finds them again.
+The theorem1 and landsburg suites are one suite body over the route table
+of their player count (coordgame.ROUTES), the table `distribution` reads.
+Check records come from hypergames.records.
 """
 
 import numpy as np
 
-from .coordgame import BASIS_OUTCOMES, _slot_grid, landsburg_probs_batch, theorem1_probs_batch
+from .coordgame import BASIS_OUTCOMES, ROUTES, _slot_grid
 from .parrondo import (
     block_unitarity_deviation,
     capital_game_stationary,
@@ -22,7 +22,8 @@ from .parrondo import (
     sequence_quantized_gains_batch,
     superposed_games_blocks,
 )
-from .qstate import _unit_gaussian_rows, oracle_probs2_batch, oracle_probs3_batch, su2_matrices
+from .qstate import _unit_gaussian_rows, oracle_probs3_batch, su2_matrices
+from .records import all_passed, check_record
 
 DEFAULT_SAMPLES = {
     "theorem1": 10_000,
@@ -41,45 +42,6 @@ def _random_pairs(rng, n):
     return x, y
 
 
-RECORD_KEYS = ("check", "samples", "tolerance", "max_deviation", "passed")
-
-
-def check_record(name, samples, tolerance, deviation, **values):
-    """One check: its name, sample count, tolerance, worst deviation, verdict.
-
-    The check passes when the deviation is below the tolerance; a deviation
-    of exactly zero passes at any tolerance, so tolerance 0 demands exact
-    agreement.  Named values (the player, the gain under test, ...) follow
-    the five record keys.
-    """
-    deviation = float(deviation)
-    return {
-        "check": name,
-        "samples": int(samples),
-        "tolerance": float(tolerance),
-        "max_deviation": deviation,
-        "passed": bool(deviation < tolerance or deviation == 0.0),
-        **values,
-    }
-
-
-def records(report):
-    """Every check record inside a report, in report order."""
-    if isinstance(report, dict):
-        if "check" in report:
-            yield report
-            return
-        report = report.values()
-    for value in report:
-        if isinstance(value, (dict, list)):
-            yield from records(value)
-
-
-def all_passed(report):
-    """Whether every check record inside the report passed."""
-    return all(r["passed"] for r in records(report))
-
-
 def _report(suite, seed, checks):
     return {
         "suite": suite,
@@ -89,21 +51,21 @@ def _report(suite, seed, checks):
     }
 
 
+def _closed_form_suite(suite, players, samples, seed, tol):
+    """Random-strategy agreement of the closed route for the player count
+    with the oracle: one batch through each kernel of its route table."""
+    route = ROUTES[players]
+    samples = DEFAULT_SAMPLES[suite] if samples is None else int(samples)
+    rng = np.random.default_rng(seed)
+    flat = [z for _ in range(players) for z in _random_pairs(rng, samples)]
+    dev = np.max(np.abs(route["closed"](*flat) - route["oracle"](*flat)))
+    name = "%s closed form vs state vector" % route["name"]
+    return _report(suite, seed, [check_record(name, samples, tol, dev)])
+
+
 def verify_theorem1(samples=None, seed=0, tol=1e-10):
     """Random-strategy agreement of the octonion closed form with the oracle."""
-    samples = DEFAULT_SAMPLES["theorem1"] if samples is None else int(samples)
-    rng = np.random.default_rng(seed)
-    a, b = _random_pairs(rng, samples)
-    p, q = _random_pairs(rng, samples)
-    e, f = _random_pairs(rng, samples)
-    closed = theorem1_probs_batch(a, b, p, q, e, f)
-    oracle = oracle_probs3_batch(a, b, p, q, e, f)
-    dev = np.max(np.abs(closed - oracle))
-    return _report(
-        "theorem1",
-        seed,
-        [check_record("octonion closed form vs state vector", samples, tol, dev)],
-    )
+    return _closed_form_suite("theorem1", 3, samples, seed, tol)
 
 
 def verify_corollary(samples=None, seed=0, tol=1e-12):
@@ -130,18 +92,7 @@ def verify_corollary(samples=None, seed=0, tol=1e-12):
 
 def verify_landsburg(samples=None, seed=0, tol=1e-10):
     """Random-strategy agreement of the quaternion closed form with the oracle."""
-    samples = DEFAULT_SAMPLES["landsburg"] if samples is None else int(samples)
-    rng = np.random.default_rng(seed)
-    a, b = _random_pairs(rng, samples)
-    p, q = _random_pairs(rng, samples)
-    closed = landsburg_probs_batch(a, b, p, q)
-    oracle = oracle_probs2_batch(a, b, p, q)
-    dev = np.max(np.abs(closed - oracle))
-    return _report(
-        "landsburg",
-        seed,
-        [check_record("quaternion closed form vs state vector", samples, tol, dev)],
-    )
+    return _closed_form_suite("landsburg", 2, samples, seed, tol)
 
 
 def verify_parrondo(samples=None, seed=0, tol=1e-12):

@@ -600,3 +600,17 @@ def test_capital_command_solves_the_chain_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "parrondo", "--game", "capital", "--p1", "0.3", "--p2", "0.625")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_hd_command_solves_the_chain_once(capsys, monkeypatch):
+    solve = parrondo._hd_solve
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return solve(p)
+
+    monkeypatch.setattr(parrondo, "_hd_solve", counted)
+    code, _, _ = run_cli(capsys, "parrondo", "--game", "hd", "--coins", "0.9,0.25,0.25,0.7")
+    assert code == 0
+    assert len(calls) == 1

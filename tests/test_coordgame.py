@@ -109,7 +109,7 @@ class TestEmbed3:
         a, b = unit_pairs(rng, 50)
         for k in range(50):
             fam = embed3(1, a[k], b[k])
-            for member in fam.members():
+            for member in (fam.o00, fam.o10, fam.o01):
                 assert member.norm() == pytest.approx(1.0, abs=1e-12)
             assert np.sum(fam.o00.c != fam.o10.c) == 1
             assert fam.o10.c[0] == -fam.o00.c[0]

@@ -16,7 +16,6 @@ from hypergames.hypercomplex import (
     oct_conj,
     oct_mul,
     oct_norm,
-    oct_project,
 )
 
 
@@ -159,13 +158,13 @@ class TestOctonionTable:
     def test_specific_products_fixed_by_subalgebra_orientation(self):
         # The unit triples of the three player subalgebras, plus the products
         # that their orientation forces.
-        assert oct_project(oct_mul(unit(1), unit(2)), 4) == 1.0
-        assert oct_project(oct_mul(unit(2), unit(1)), 4) == -1.0
-        assert oct_project(oct_mul(unit(1), unit(4)), 2) == -1.0
-        assert oct_project(oct_mul(unit(1), unit(5)), 6) == 1.0
-        assert oct_project(oct_mul(unit(1), unit(6)), 5) == -1.0
-        assert oct_project(oct_mul(unit(1), unit(3)), 7) == 1.0
-        assert oct_project(oct_mul(unit(1), unit(7)), 3) == -1.0
+        assert oct_mul(unit(1), unit(2)).c[4] == 1.0
+        assert oct_mul(unit(2), unit(1)).c[4] == -1.0
+        assert oct_mul(unit(1), unit(4)).c[2] == -1.0
+        assert oct_mul(unit(1), unit(5)).c[6] == 1.0
+        assert oct_mul(unit(1), unit(6)).c[5] == -1.0
+        assert oct_mul(unit(1), unit(3)).c[7] == 1.0
+        assert oct_mul(unit(1), unit(7)).c[3] == -1.0
 
     def test_triple_product_reaching_i1_across_subalgebras(self):
         # (i4 i6) i7 = i1: i4 i6 = i3, then i3 i7 = i1.
@@ -173,7 +172,7 @@ class TestOctonionTable:
         npt.assert_array_equal(step.c, unit(3).c)
         full = oct_mul(step, unit(7))
         npt.assert_array_equal(full.c, unit(1).c)
-        assert oct_project(full, 1) == 1.0
+        assert full.c[1] == 1.0
 
     def test_anticommutativity_of_distinct_units(self):
         for j in range(1, 8):
@@ -182,12 +181,6 @@ class TestOctonionTable:
                     jk = oct_mul(unit(j), unit(k))
                     kj = oct_mul(unit(k), unit(j))
                     npt.assert_array_equal(jk.c, (-kj).c)
-
-    def test_projection_index_bounds(self):
-        with pytest.raises(IndexError):
-            oct_project(unit(0), 8)
-        with pytest.raises(IndexError):
-            oct_project(unit(0), -1)
 
 
 class TestOctonionAlgebra:

@@ -1,5 +1,7 @@
 """The batched Parrondo kernels against their scalar entry points."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,26 @@ def test_nan_states_raise(batch):
         for fn in (fna_p_win_batch, fna_p_win_pair_batch):
             with pytest.raises(ValueError, match="qubit states must have unit norm"):
                 fn(blocks, *bad)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(1.0, np.inf), np.nan, 1e200, 1.2e154])
+def test_non_finite_or_huge_amplitudes_raise_without_a_warning(batch, bad):
+    # 1e200 overflows its square and 1.2e154 the sum of two squares.
+    coins, _, _, _, blocks, qubits = batch
+    init = proper_initial_state(hd_stationary(coins)).astype(complex)
+    init[5, 2:4] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="initial state must have unit norm"):
+            quantized_p_gain_batch(coin_blocks(coins, CoinEmbedding(TYPE1)), init, 0)
+        with pytest.raises(ValueError, match="initial state must have unit norm"):
+            quantized_p_gain_batch(blocks, [bad, 0, 0, 0, 0, 0, 0, 0], 0)
+        for k in range(3):
+            bad_qubits = [q.copy() for q in qubits]
+            bad_qubits[k][7] = bad
+            for fn in (fna_p_win_batch, fna_p_win_pair_batch):
+                with pytest.raises(ValueError, match="qubit states must have unit norm"):
+                    fn(blocks, *bad_qubits)
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from hypergames.parrondo import (
     superposed_games_blocks,
 )
 from hypergames.qstate import ETA3, _unit_gaussian_rows, su2_matrices
+from hypergames.records import check_record
 
 SEEDS = (0, 1, 7, 123, 906064)
 
@@ -189,7 +190,7 @@ def ref_verify_parrondo(samples, seed, tol=1e-12):
     dev_mix = np.max(
         np.abs(capital_game_stationary(0.3, 0.625) - np.array([245.0, 180.0, 284.0]) / 709.0)
     )
-    checks.append(verify.check_record("capital-game stationary states", 2, tol, max(dev_b, dev_mix)))
+    checks.append(check_record("capital-game stationary states", 2, tol, max(dev_b, dev_mix)))
     u = rng.random((samples, 13))
     scaled = 0.02 + (0.98 - 0.02) * u
     coins, r, pa, pb = scaled[:, :4], u[:, 4], scaled[:, 5:9], scaled[:, 9:13]
@@ -199,17 +200,17 @@ def ref_verify_parrondo(samples, seed, tol=1e-12):
     dev_sequence = max(np.max(np.abs(g - classical)) for g in quantum.values())
     dev_unitary = ref_block_unitarity_deviation(ref_superposed_games_blocks(r, pa, pb))
     checks += [
-        verify.check_record("proper quantization reproduces classical gain", samples, tol, dev_proper),
-        verify.check_record("randomized-sequence quantizations mix coins", samples, tol, dev_sequence),
-        verify.check_record("superposed multiplexers stay unitary", samples, tol, dev_unitary),
+        check_record("proper quantization reproduces classical gain", samples, tol, dev_proper),
+        check_record("randomized-sequence quantizations mix coins", samples, tol, dev_sequence),
+        check_record("superposed multiplexers stay unitary", samples, tol, dev_unitary),
     ]
     x, y = (v.reshape(samples, 7) for v in verify._random_pairs(rng, 7 * samples))
     qubits = (np.stack([x[:, k], y[:, k]], axis=-1) for k in (4, 5, 6))
     closed, direct = ref_fna_p_win_pair_batch(ref_su2_matrices(x[:, :4], y[:, :4]), *qubits)
-    checks.append(verify.check_record(
+    checks.append(check_record(
         "product-state closed form vs simulation", samples, tol, np.max(np.abs(closed - direct))))
     effect = parrondo_effect_check(1.0 / 200.0)
-    checks.append(verify.check_record(
+    checks.append(check_record(
         "losing games combine into a winning mixture at epsilon 1/200", 1, 0.0,
         0.0 if effect["effect"] else 1.0))
     return verify._report("parrondo", seed, checks)

@@ -18,7 +18,6 @@ from hypergames.qstate import (
     entangled_state,
     eta,
     flip_gate,
-    game_state2,
     game_state3,
     hadamard,
     measure,
@@ -29,9 +28,21 @@ from hypergames.qstate import (
     oracle_probs3_batch,
     penny_evolution,
     su2_matrices,
-    to_action_basis2,
     to_action_basis3,
 )
+
+
+def game_state2(A, B, P, Q):
+    """Two-player game state, normalized, order (00, 01, 10, 11)."""
+    return entangled_state((A, B), (P, Q)) / np.sqrt(2.0)
+
+
+def to_action_basis2(v, eta_value=ETA2):
+    """Two-player amplitudes in the action basis: the two-term change of
+    qstate._basis_change, as to_action_basis3 applies it for three players."""
+    v = np.asarray(v, dtype=complex)
+    c, d = qstate._basis_change(2, complex(eta_value))
+    return qstate._two_term(v.reshape(-1, 4).T, c, d).T.reshape(v.shape)
 
 
 def ghz3():
@@ -403,8 +414,7 @@ class TestOracleKernel:
         assert entangled_state(*pairs).tobytes() == rows.T.tobytes()
         assert game_state3(*(a for pair in pairs for a in pair)).tobytes() == rows.T.tobytes()
         two = qstate._entangled_rows(*pairs[:2])
-        assert game_state2(*(a for pair in pairs[:2] for a in pair)).tobytes() == (
-            two.T / np.sqrt(2.0)).tobytes()
+        assert entangled_state(*pairs[:2]).tobytes() == two.T.tobytes()
         with pytest.raises(ValueError):
             entangled_state((1, 0))
 

@@ -16,7 +16,8 @@ from hypergames.coordgame import (
 from hypergames.equilibria import _random_subalgebra_pairs
 from hypergames.hypercomplex import Octonion
 from hypergames.qstate import oracle_probs3_batch
-from hypergames.verify import check_record, verify_corollary
+from hypergames.records import check_record
+from hypergames.verify import verify_corollary
 
 SEEDS = (0, 1, 7, 123, 2024)
 SIZES = (0, 1, 7, 1000, 10_000)
