@@ -370,8 +370,8 @@ def measure(src):
     if classical_pure_scan(game) != [("FFN", (10.0, 10.0, 20.0))]:
         raise SystemExit("classical_pure_scan missed the pure equilibrium")
     one = [z[0] for z in haar_profiles(rng, 1)]
-    families = [embed3(k + 1, *one[2 * k:2 * k + 2]) for k in range(3)]
-    if not theorem1_distribution(*families).max_deviation(
+    embedded = [embed3(k + 1, *one[2 * k:2 * k + 2]) for k in range(3)]
+    if not theorem1_distribution(*embedded).max_deviation(
             oracle_distribution3(*one)) < TOL:
         raise SystemExit("theorem1 check failed at a batch of one")
     from hypergames.parrondo import proper_quantized_gains
@@ -393,7 +393,7 @@ def measure(src):
             classical_pure_scan, (game,), SCALAR_REPEATS),
         "batch_of_one": {
             "theorem1_distribution": seconds_per_call(
-                theorem1_distribution, families, SCALAR_REPEATS),
+                theorem1_distribution, embedded, SCALAR_REPEATS),
             "oracle_distribution3": seconds_per_call(
                 oracle_distribution3, one, SCALAR_REPEATS),
             "landsburg_probs": seconds_per_call(landsburg_probs, one[:4], SCALAR_REPEATS),

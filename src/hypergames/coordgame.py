@@ -3,10 +3,11 @@
 Each player's local SU(2) strategy embeds into a quaternion subalgebra of
 the octonions, after which the outcome distribution of the three player
 entangled game is a fixed quadratic expression in a handful of octonion
-products.  The two player game reduces the same way to a single quaternion
-product.  Everything here is closed-form algebra with no state vectors, so
-the results can be checked against the independent simulation route in
-``hypergames.qstate``.
+products of sign variants of the embedded strategies, which the kernel
+folds into its tables (_theorem1_probs).  The two player game reduces the
+same way to a single quaternion product.  Everything here is closed-form
+algebra with no state vectors, so the results can be checked against the
+independent simulation route in ``hypergames.qstate``.
 
 Outcome labels use N (no flip) and F (flip).  The closed form indexes
 outcomes by octonion basis element rather than by label; the module-level
@@ -128,33 +129,6 @@ _CLOSED_FORM_PLAN = _closed_form_plan()
 _QUATERNION_PLAN = compile_rows(gather_table(PLAYER_BASIS[1], PLAYER_BASIS[1], (0, 2, 4, 1)))
 
 
-class OctStrategyFamily:
-    """Sign variants of one player's strategy inside its octonion subalgebra.
-
-    o00 is the embedded strategy itself.  o10 negates the coefficient of the
-    real unit and o01 negates the coefficient of the shared imaginary unit
-    i1; both are built from o00 on access.  The closed-form distribution is a
-    polynomial in these variants, which the kernel forms from o00 alone.
-    """
-
-    __slots__ = ("player", "o00")
-
-    def __init__(self, player, o00):
-        self.player = player
-        self.o00 = o00
-
-    @property
-    def o10(self):
-        return Octonion(_negated(self.o00.c, 0))
-
-    @property
-    def o01(self):
-        return Octonion(_negated(self.o00.c, 1))
-
-    def __repr__(self):
-        return "OctStrategyFamily(player=%r, o00=%r)" % (self.player, self.o00)
-
-
 def _embed(player, A, B):
     """Embedded coefficients, shape (..., 8), of stacked strategy pairs.
 
@@ -217,40 +191,35 @@ def _embedded_blocks(width, pairs, players, twists):
     return shape, largest, embedded()
 
 
-def _negated(c, k):
-    """Sign variant: a copy of coordinate-first coefficients, row k negated."""
-    out = c.copy()
-    out[k] = -out[k]
-    return out
-
-
 def embed3(player, A, B):
     """Embed an SU(2) strategy pair (A, B) into the player's subalgebra.
 
     The real and i1 coefficients carry A; the other two imaginary units of
     the player's quaternion triple carry B twisted by e^(i pi/6), a twelfth
-    root of unity.  Returns the family of sign variants of the embedding.
+    root of unity.  Returns the embedded Octonion.
     """
     c = _embed(player, A, B)
     if c.ndim != 1:
         raise ValueError("embed3 expects scalar strategy pairs")
-    return OctStrategyFamily(player, Octonion(c))
+    return Octonion(c)
 
 
 def _theorem1_probs(shape, largest, blocks):
     """Outcome probabilities, shape + (8,) in ACTION_LABELS3 order, of
     blocks of embedded factors s, t, u (see _embedded_blocks).
 
-    Half of the outcomes read off g = (s' t10) u01, the other half off
-    h = (s' t00) u00, where s' runs over the half sum and half difference of
-    player 1's variants o10 and o01.  By bilinearity those are s+, player
-    1's B part, and s- = (-Re A, Im A), and each probability is the sum of
-    the squared projections of the s+ and s- products.  Every product runs
-    on the players' four-coordinate supports and forms only the outputs
-    read; s+ and s- share one first product, and the second product splits
-    it into their halves.  Each distinct product is formed once, no step
-    negates a row (_closed_form_plan), and each output's halves are squared
-    and added as soon as they are formed.  All blocks reuse block_buffer 1.
+    Of a player's embedding o00, the sign variant o10 negates the real
+    coefficient and o01 the i1 coefficient.  Half of the outcomes read off
+    g = (s' t10) u01, the other half off h = (s' t00) u00, where s' runs over
+    the half sum and half difference of player 1's variants o10 and o01.  By
+    bilinearity those are s+, player 1's B part, and s- = (-Re A, Im A), and
+    each probability is the sum of the squared projections of the s+ and s-
+    products.  Every product runs on the players' four-coordinate supports
+    and forms only the outputs read; s+ and s- share one first product, and
+    the second product splits it into their halves.  Each distinct product
+    is formed once, no step negates a row (_closed_form_plan), and each
+    output's halves are squared and added as soon as they are formed.  All
+    blocks reuse block_buffer 1.
     """
     probs = np.empty((8, math.prod(shape)))
     scratch = block_buffer(1, (11,), largest, _WIDTH3)
@@ -260,14 +229,14 @@ def _theorem1_probs(shape, largest, blocks):
     return probs.T.reshape(shape + (8,))
 
 
-def theorem1_distribution(fam1, fam2, fam3):
+def theorem1_distribution(s, t, u):
     """Closed-form outcome distribution of the three player entangled game.
 
-    Takes one strategy family per player, as produced by embed3, and
-    evaluates the eight outcome probabilities purely by octonion
+    Takes the Octonion that embed3 returns for each of players 1, 2 and 3,
+    and evaluates the eight outcome probabilities purely by octonion
     arithmetic: a batch of one through the kernel of theorem1_probs_batch.
     """
-    embedded = np.stack([fam.o00.c for fam in (fam1, fam2, fam3)])[..., np.newaxis]
+    embedded = np.stack([o.c for o in (s, t, u)])[..., np.newaxis]
     return OutcomeDistribution(ACTION_LABELS3, _theorem1_probs((1,), 1, [(embedded, slice(0, 1))])[0])
 
 

@@ -1,10 +1,11 @@
 """Payoff evaluation and equilibrium checks for the quantized games.
 
 A three player payoff table assigns each outcome a real payoff per player.
-On top of the closed-form distribution this module evaluates pure and mixed
-quantum payoffs, builds the quarter-weight basis mixture whose profile
-equalizes every player's payoff at the average of their table, and runs the
-classical pure and mixed analyses of the same tables.
+On top of the closed-form distribution this module evaluates the payoffs of
+mixed quantum strategies over basis elements, builds the quarter-weight
+basis mixture whose profile equalizes every player's payoff at the average
+of their table, and runs the classical pure and mixed analyses of the same
+tables.
 
 Three example tables ship with the package: a three player zero-sum poker
 stage game in both its original printed form and a zero-sum-corrected form,
@@ -28,9 +29,6 @@ from .coordgame import (
     _strategy_pair,
     basis_index,
     basis_slot,
-    corollary_distribution,
-    embed3,
-    theorem1_distribution,
     theorem1_probs_batch,
 )
 from .hypercomplex import Octonion
@@ -42,6 +40,8 @@ from .records import check_record
 # difference of two averages, stay finite.  A Python float, so comparing an
 # integer too large for a float against it does not overflow.
 MAX_PAYOFF = sys.float_info.max / 64
+
+ZERO_SUM_TOL = 1e-9  # how far from 0 an outcome's payoffs may sum and still count as zero-sum
 
 BUILTIN_GAME_NAMES = ("poker_printed", "poker_zero_sum_corrected", "dilemma_printed")
 
@@ -121,10 +121,10 @@ class PayoffTable:
             totals += prob * column
         return totals
 
-    def zero_sum_defects(self, tol=1e-9):
+    def zero_sum_defects(self):
         """Outcome labels whose payoffs do not sum to zero, with the sums."""
         sums = self.payoffs.sum(axis=0)
-        return [(label, float(x)) for label, x in zip(self.labels, sums) if abs(x) > tol]
+        return [(label, float(x)) for label, x in zip(self.labels, sums) if abs(x) > ZERO_SUM_TOL]
 
     def __repr__(self):
         return "PayoffTable(%s)" % self.payoffs.tolist()
@@ -209,15 +209,6 @@ def special_distribution(player):
     )
 
 
-def payoff_pure_basis(k, s, t, u, game):
-    """Payoff to player k when every player uses a basis-element strategy.
-
-    The outcome distribution is a point mass, so this reads off a single
-    entry of the payoff table.
-    """
-    return float(corollary_distribution(s, t, u).probs @ game.payoffs_for(k))
-
-
 def expected_payoff_mixture(k, m1, m2, m3, game):
     """Expected payoff to player k under independent basis mixtures.
 
@@ -230,19 +221,6 @@ def expected_payoff_mixture(k, m1, m2, m3, game):
             weights[slot, basis_slot(slot + 1, index)] += weight
     payoffs = BASIS_OUTCOMES @ game.payoffs_for(k)
     return float(np.einsum("i,j,l,ijl->", *weights, payoffs))
-
-
-def payoff_pure_quantum(k, strat1, strat2, strat3, game):
-    """Expected payoff to player k for arbitrary SU(2) strategies.
-
-    Composes the closed-form outcome distribution with the payoff table.
-    """
-    dist = theorem1_distribution(
-        embed3(1, strat1.x, strat1.y),
-        embed3(2, strat2.x, strat2.y),
-        embed3(3, strat3.x, strat3.y),
-    )
-    return float(dist.probs @ game.payoffs_for(k))
 
 
 def _random_subalgebra_pairs(rng, samples):

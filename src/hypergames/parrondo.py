@@ -203,13 +203,13 @@ def capital_p_gain(p1, p2):
     return capital_chain(p1, p2)[2]
 
 
-def classify_gain(p_gain, tol=1e-12):
-    """Label a gain probability as winning, fair, or losing; NaN raises."""
+def classify_gain(p_gain):
+    """Label a gain probability as winning, fair (within FAIR_TOL of 1/2) or losing; NaN raises."""
     if np.isnan(p_gain):
         raise ValueError("gain probability must not be NaN")
-    if p_gain > 0.5 + tol:
+    if p_gain > 0.5 + FAIR_TOL:
         return "winning"
-    if p_gain < 0.5 - tol:
+    if p_gain < 0.5 - FAIR_TOL:
         return "losing"
     return "fair"
 
@@ -255,21 +255,6 @@ def _superpose(gamma1, gamma2, blocks1, blocks2):
     """gamma1 * blocks1 + gamma2 * blocks2 for (...) numpy weights."""
     w1, w2, b1, b2 = _rows((gamma1, ()), (gamma2, ()), (blocks1, _BLOCK), (blocks2, _BLOCK))
     return _trailing(w1 * b1 + w2 * b2, _BLOCK)
-
-
-def apply_blocks(blocks, state):
-    """Multiplexers (..., 4, 2, 2) applied to states (..., 8).
-
-    Block j acts on the amplitude pair (2j, 2j + 1), the last qubit at
-    history j; that is the 8x8 block-diagonal matrix's product, whose
-    off-block entries are zero.
-    """
-    b, s = _rows((blocks, _BLOCK), (np.asarray(state, dtype=complex), (-1,)))
-    out = np.empty((4, 2) + np.broadcast_shapes(b.shape[3:], s.shape[1:]), dtype=complex)
-    rows = out.swapaxes(0, 1)  # row r of block j is amplitude 2j + r
-    np.multiply(b[:, 0], s[0::2], out=rows)
-    rows += b[:, 1] * s[1::2]
-    return _trailing(out.reshape((8,) + out.shape[2:]))
 
 
 def block_unitarity_deviation(blocks):
@@ -535,9 +520,11 @@ def parrondo_effect_check(epsilon):
     combination effect is present: game A losing, game B losing and the
     mixture winning, which is all three inequalities.  They reduce to
     epsilon > 0, 2.2 epsilon > 0 and 2.1 epsilon < 1/80, so they all hold
-    exactly when 0 < epsilon < 1/168.  They are decided in exact integer
-    arithmetic on the float epsilon's value; float arithmetic misreads both
-    ends of that interval.
+    exactly when 0 < epsilon < 1/168.  The three flags and "effect" are
+    exact, decided in integer arithmetic on the float epsilon's value; the
+    gains p_gain_a, p_gain_b and p_gain_mixture are float-rounded, so near
+    either end of the interval a gain can fall on the other side of 1/2 from
+    its flag (at epsilon 5e-324, "effect" beside p_gain_b 0.5000000000000001).
     """
     epsilon = float(epsilon)
     if not 0.0 <= epsilon <= 0.25:
@@ -578,6 +565,7 @@ def parrondo_effect_check(epsilon):
 
 # Tolerance of the coin-game reports' identity checks.
 REPORT_TOL = 1e-12
+FAIR_TOL = 1e-12  # half-width of the band around 1/2 that classify_gain calls fair
 
 
 def _gain_checks(key, gains, classical):

@@ -27,6 +27,7 @@ SQRT3 = np.sqrt(3.0)
 # root of unity, and the two-player one, a primitive 8th root.
 ETA3 = complex(0.5, SQRT3 / 2.0)
 ETA2 = complex(1.0, 1.0) / np.sqrt(2.0)
+UNIT_ATOL = 1e-9  # how far |A|^2 + |B|^2, and a distribution's sum, may lie from 1
 
 
 def outcome_labels(players):
@@ -54,8 +55,8 @@ def eta(n_players):
     raise ValueError("only 2- and 3-player games are supported")
 
 
-def check_unit_pairs(*pairs, atol=1e-9):
-    """Require |A|^2 + |B|^2 = 1 within atol for every pair, summing the
+def check_unit_pairs(*pairs):
+    """Require |A|^2 + |B|^2 = 1 within UNIT_ATOL for every pair, summing the
     squared parts; a NaN or an infinity fails.  A one-element input is
     summed as a Python number, which costs no numpy call."""
     for a, b in pairs:
@@ -64,7 +65,7 @@ def check_unit_pairs(*pairs, atol=1e-9):
         lo = hi = norms
         if isinstance(norms, np.ndarray):
             lo, hi = norms.min(initial=1.0), norms.max(initial=1.0)
-        if not (hi - 1.0 <= atol and 1.0 - lo <= atol):
+        if not (hi - 1.0 <= UNIT_ATOL and 1.0 - lo <= UNIT_ATOL):
             raise ValueError("strategy pair must satisfy |A|^2 + |B|^2 = 1")
 
 
@@ -136,12 +137,6 @@ class SU2Gate:
     @property
     def matrix(self):
         return su2_matrices(self.x, self.y)
-
-    @classmethod
-    def random(cls, rng):
-        v = rng.standard_normal(4)
-        v = v / np.linalg.norm(v)
-        return cls(complex(v[0], v[1]), complex(v[2], v[3]))
 
     def __repr__(self):
         return "SU2Gate(%r, %r)" % (self.x, self.y)
@@ -233,12 +228,12 @@ class OutcomeDistribution:
 
     __slots__ = ("labels", "probs")
 
-    def __init__(self, labels, probs, atol=1e-9):
+    def __init__(self, labels, probs):
         probs = np.asarray(probs, dtype=float)
         labels = tuple(labels)
         if len(labels) != probs.shape[-1]:
             raise ValueError("labels and probabilities disagree in length")
-        if np.min(probs) < -atol or abs(np.sum(probs) - 1.0) > atol:
+        if np.min(probs) < -UNIT_ATOL or abs(np.sum(probs) - 1.0) > UNIT_ATOL:
             raise ValueError("probabilities must be nonnegative and sum to 1")
         self.labels = labels
         self.probs = np.clip(probs, 0.0, None)
@@ -352,13 +347,13 @@ def normalized(p, shape):
 _BLOCK_ENTRIES = 2**14
 
 
-def _oracle_probs(gates, eta_value):
-    """Born-rule probabilities of the literal state in the action basis, by
-    in_blocks of the batch; the coordinate-last view, (..., 2**n).  The
-    state, its basis change and the d*v[::-1] term of each block are written
-    into one block_buffer."""
+def _oracle_probs(gates):
+    """Born-rule probabilities of the literal state in the action basis of
+    the player count's phase, eta(len(gates)), by in_blocks of the batch;
+    the coordinate-last view, (..., 2**n).  The state, its basis change and
+    the d*v[::-1] term of each block are written into one block_buffer."""
     check_unit_pairs(*gates)
-    c, d = _basis_change(len(gates), complex(eta_value))
+    c, d = _basis_change(len(gates), eta(len(gates)))
     width = _BLOCK_ENTRIES // len(c)
     shape, largest, blocks = in_blocks(width, *(a for gate in gates for a in gate))
     p = np.empty((len(c), math.prod(shape)))
@@ -373,25 +368,27 @@ def _oracle_probs(gates, eta_value):
     return normalized(p, shape)
 
 
-def oracle_probs3_batch(A, B, P, Q, E, F, eta_value=ETA3):
-    """Vectorized oracle probabilities for stacked strategies, shape (n, 8)."""
-    return _oracle_probs(((A, B), (P, Q), (E, F)), eta_value)
+def oracle_probs3_batch(A, B, P, Q, E, F):
+    """Vectorized oracle probabilities at the phase ETA3, shape (n, 8)."""
+    return _oracle_probs(((A, B), (P, Q), (E, F)))
 
 
-def oracle_probs2_batch(A, B, P, Q, eta_value=ETA2):
-    return _oracle_probs(((A, B), (P, Q)), eta_value)
+def oracle_probs2_batch(A, B, P, Q):
+    """Two-player oracle probabilities at the phase ETA2, shape (n, 4)."""
+    return _oracle_probs(((A, B), (P, Q)))
 
 
-def oracle_distribution3(A, B, P, Q, E, F, eta_value=ETA3):
+def oracle_distribution3(A, B, P, Q, E, F):
     """State-vector route: the literal game state measured in the action
-    basis; a batch of one through oracle_probs3_batch."""
-    probs = oracle_probs3_batch(*batch_of_one(A, B, P, Q, E, F), eta_value)
+    basis at the phase ETA3; a batch of one through oracle_probs3_batch."""
+    probs = oracle_probs3_batch(*batch_of_one(A, B, P, Q, E, F))
     return OutcomeDistribution(ACTION_LABELS3, probs[0])
 
 
-def oracle_distribution2(A, B, P, Q, eta_value=ETA2):
-    """Two-player state-vector route; a batch of one through oracle_probs2_batch."""
-    probs = oracle_probs2_batch(*batch_of_one(A, B, P, Q), eta_value)
+def oracle_distribution2(A, B, P, Q):
+    """Two-player state-vector route at the phase ETA2; a batch of one
+    through oracle_probs2_batch."""
+    probs = oracle_probs2_batch(*batch_of_one(A, B, P, Q))
     return OutcomeDistribution(ACTION_LABELS2, probs[0])
 
 

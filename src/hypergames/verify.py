@@ -32,6 +32,14 @@ DEFAULT_SAMPLES = {
     "parrondo": 1_000,
 }
 
+# The largest deviation each suite's checks pass at.
+TOLERANCES = {
+    "theorem1": 1e-10,
+    "corollary": 1e-12,
+    "landsburg": 1e-10,
+    "parrondo": 1e-12,
+}
+
 SUITE_NAMES = ("theorem1", "corollary", "landsburg", "parrondo")
 
 
@@ -51,7 +59,7 @@ def _report(suite, seed, checks):
     }
 
 
-def _closed_form_suite(suite, players, samples, seed, tol):
+def _closed_form_suite(suite, players, samples, seed):
     """Random-strategy agreement of the closed route for the player count
     with the oracle: one batch through each kernel of its route table."""
     route = ROUTES[players]
@@ -60,15 +68,15 @@ def _closed_form_suite(suite, players, samples, seed, tol):
     flat = [z for _ in range(players) for z in _random_pairs(rng, samples)]
     dev = np.max(np.abs(route["closed"](*flat) - route["oracle"](*flat)))
     name = "%s closed form vs state vector" % route["name"]
-    return _report(suite, seed, [check_record(name, samples, tol, dev)])
+    return _report(suite, seed, [check_record(name, samples, TOLERANCES[suite], dev)])
 
 
-def verify_theorem1(samples=None, seed=0, tol=1e-10):
+def verify_theorem1(samples=None, seed=0):
     """Random-strategy agreement of the octonion closed form with the oracle."""
-    return _closed_form_suite("theorem1", 3, samples, seed, tol)
+    return _closed_form_suite("theorem1", 3, samples, seed)
 
 
-def verify_corollary(samples=None, seed=0, tol=1e-12):
+def verify_corollary(samples=None, seed=0):
     """Exhaustive one-hot agreement over all basis-strategy triples.
 
     The basis reduction is the 64 rows of BASIS_OUTCOMES, the one batched
@@ -76,6 +84,7 @@ def verify_corollary(samples=None, seed=0, tol=1e-12):
     slots; the oracle runs once over the same triples' slot gates.
     """
     del samples  # the case count is fixed by the basis
+    tol = TOLERANCES["corollary"]
     probs = BASIS_OUTCOMES.reshape(64, 8)
     top = np.sort(probs, axis=1)
     worst_onehot = max(np.max(top[:, :-1].sum(axis=1)), np.max(np.abs(top[:, -1] - 1.0)))
@@ -90,12 +99,12 @@ def verify_corollary(samples=None, seed=0, tol=1e-12):
     return _report("corollary", seed, checks)
 
 
-def verify_landsburg(samples=None, seed=0, tol=1e-10):
+def verify_landsburg(samples=None, seed=0):
     """Random-strategy agreement of the quaternion closed form with the oracle."""
-    return _closed_form_suite("landsburg", 2, samples, seed, tol)
+    return _closed_form_suite("landsburg", 2, samples, seed)
 
 
-def verify_parrondo(samples=None, seed=0, tol=1e-12):
+def verify_parrondo(samples=None, seed=0):
     """Stationary golden values, proper-quantization identity, closed forms.
 
     Each randomized check runs its batched kernel once over all samples.
@@ -104,6 +113,7 @@ def verify_parrondo(samples=None, seed=0, tol=1e-12):
     (7 Haar pairs).
     """
     samples = DEFAULT_SAMPLES["parrondo"] if samples is None else int(samples)
+    tol = TOLERANCES["parrondo"]
     rng = np.random.default_rng(seed)
     checks = []
 

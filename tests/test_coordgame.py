@@ -56,7 +56,7 @@ def unit_pairs(rng, n):
     return v[:, 0] + 1j * v[:, 1], v[:, 2] + 1j * v[:, 3]
 
 
-def family_triple(A, B, P, Q, E, F):
+def embedded_triple(A, B, P, Q, E, F):
     return embed3(1, A, B), embed3(2, P, Q), embed3(3, E, F)
 
 
@@ -80,41 +80,29 @@ class TestOutcomeIndexMap:
 
 class TestEmbed3:
     def test_identity_family(self):
-        fam = embed3(1, 1, 0)
-        npt.assert_allclose(fam.o00.c, Octonion.basis(0).c, atol=0)
-        npt.assert_allclose(fam.o10.c, -Octonion.basis(0).c, atol=0)
-        npt.assert_allclose(fam.o01.c, Octonion.basis(0).c, atol=0)
+        npt.assert_allclose(embed3(1, 1, 0).c, Octonion.basis(0).c, atol=0)
 
     def test_pure_flip_component(self):
-        fam = embed3(1, 0, 1)
         expected = np.zeros(8)
         expected[2] = SQRT3 / 2.0
         expected[4] = 0.5
-        npt.assert_allclose(fam.o00.c, expected, atol=1e-15)
+        npt.assert_allclose(embed3(1, 0, 1).c, expected, atol=1e-15)
 
     def test_twisted_flip_lands_on_high_unit(self):
-        fam = embed3(3, 0, ETA3)
-        npt.assert_allclose(fam.o00.c, Octonion.basis(7).c, atol=1e-15)
+        npt.assert_allclose(embed3(3, 0, ETA3).c, Octonion.basis(7).c, atol=1e-15)
 
     def test_players_use_disjoint_flip_units(self):
         rng = np.random.default_rng(3)
         (a,), (b,) = unit_pairs(rng, 1)
         for player in (1, 2, 3):
-            fam = embed3(player, a, b)
-            support = set(np.flatnonzero(np.abs(fam.o00.c) > 1e-14))
+            support = set(np.flatnonzero(np.abs(embed3(player, a, b).c) > 1e-14))
             assert support <= set(ALLOWED[player])
 
-    def test_unit_norm_and_single_sign_changes(self):
+    def test_unit_norm(self):
         rng = np.random.default_rng(11)
         a, b = unit_pairs(rng, 50)
         for k in range(50):
-            fam = embed3(1, a[k], b[k])
-            for member in (fam.o00, fam.o10, fam.o01):
-                assert member.norm() == pytest.approx(1.0, abs=1e-12)
-            assert np.sum(fam.o00.c != fam.o10.c) == 1
-            assert fam.o10.c[0] == -fam.o00.c[0]
-            assert np.sum(fam.o00.c != fam.o01.c) == 1
-            assert fam.o01.c[1] == -fam.o00.c[1]
+            assert embed3(1, a[k], b[k]).norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -125,12 +113,12 @@ class TestEmbed3:
 
 class TestClosedFormDistribution:
     def test_identity_strategies(self):
-        dist = theorem1_distribution(*family_triple(1, 0, 1, 0, 1, 0))
+        dist = theorem1_distribution(*embedded_triple(1, 0, 1, 0, 1, 0))
         assert dist.prob("NNN") == pytest.approx(1.0, abs=1e-15)
 
     def test_all_flip_strategies(self):
-        fams = family_triple(0, ETA3, 0, ETA3, 0, ETA3)
-        assert theorem1_distribution(*fams).prob("FFF") == pytest.approx(
+        embedded = embedded_triple(0, ETA3, 0, ETA3, 0, ETA3)
+        assert theorem1_distribution(*embedded).prob("FFF") == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -141,7 +129,7 @@ class TestClosedFormDistribution:
         e, f = unit_pairs(rng, 200)
         for k in range(200):
             closed = theorem1_distribution(
-                *family_triple(a[k], b[k], p[k], q[k], e[k], f[k])
+                *embedded_triple(a[k], b[k], p[k], q[k], e[k], f[k])
             )
             oracle = oracle_distribution3(a[k], b[k], p[k], q[k], e[k], f[k])
             assert closed.max_deviation(oracle) < 1e-10
@@ -164,7 +152,7 @@ class TestClosedFormDistribution:
         bulk = theorem1_probs_batch(a, b, p, q, e, f)
         for k in range(5):
             dist = theorem1_distribution(
-                *family_triple(a[k], b[k], p[k], q[k], e[k], f[k])
+                *embedded_triple(a[k], b[k], p[k], q[k], e[k], f[k])
             )
             npt.assert_allclose(dist.probs, bulk[k], atol=1e-14)
 
@@ -179,7 +167,7 @@ class TestClosedFormDistribution:
         gates = v[:, 0] + 1j * v[:, 1], v[:, 2] + 1j * v[:, 3]
         a, p, e = gates[0]
         b, q, f = gates[1]
-        closed = theorem1_distribution(*family_triple(a, b, p, q, e, f))
+        closed = theorem1_distribution(*embedded_triple(a, b, p, q, e, f))
         oracle = oracle_distribution3(a, b, p, q, e, f)
         assert closed.max_deviation(oracle) < 1e-10
 
@@ -220,8 +208,8 @@ class TestScalarEntryPointsAreBatchRows:
         oracle2 = oracle_probs2_batch(a, b, p, q)
         for k in sorted(set(range(0, n, 157)) | block_edges(n, *BLOCK_WIDTHS)):
             three = (a[k], b[k], p[k], q[k], e[k], f[k])
-            fams = family_triple(*three)
-            assert np.array_equal(theorem1_distribution(*fams).probs, closed3[k])
+            embedded = embedded_triple(*three)
+            assert np.array_equal(theorem1_distribution(*embedded).probs, closed3[k])
             assert np.array_equal(landsburg_probs(*three[:4]).probs, closed2[k])
             assert np.array_equal(oracle_distribution3(*three).probs, oracle3[k])
             assert np.array_equal(oracle_distribution2(*three[:4]).probs, oracle2[k])
@@ -240,10 +228,10 @@ class TestBufferContract:
         rng = np.random.default_rng(101)
         a, b = unit_pairs(rng, 2)
         first = embed3(1, a[0], b[0])
-        saved = first.o00.c.copy()
+        saved = first.c.copy()
         second = embed3(1, a[1], b[1])
-        assert np.array_equal(first.o00.c, saved)
-        assert not np.array_equal(second.o00.c, saved)
+        assert np.array_equal(first.c, saved)
+        assert not np.array_equal(second.c, saved)
 
     def test_earlier_results_survive_later_calls(self):
         rng = np.random.default_rng(103)
@@ -499,9 +487,9 @@ class TestRowWiseProductIsTermAtATime:
     def test_theorem1_kernel_on_scalar_families(self):
         rng = np.random.default_rng(73)
         for _ in range(20):
-            fams = family_triple(*(z[0] for _ in range(3) for z in unit_pairs(rng, 1)))
-            s, t, u = (fam.o00.c for fam in fams)
-            probs = theorem1_distribution(*fams).probs
+            embedded = embedded_triple(*(z[0] for _ in range(3) for z in unit_pairs(rng, 1)))
+            s, t, u = (o.c for o in embedded)
+            probs = theorem1_distribution(*embedded).probs
             assert probs.shape == (8,)
             assert same_bits(probs, term_at_a_time_theorem1(s, t, u))
 
@@ -627,7 +615,7 @@ class TestSharedProductPlan:
         rng = np.random.default_rng(131)
         for _ in range(20):
             three = [z[0] for _ in range(3) for z in unit_pairs(rng, 1)]
-            probs = theorem1_distribution(*family_triple(*three)).probs
+            probs = theorem1_distribution(*embedded_triple(*three)).probs
             assert np.array_equal(probs, reference_theorem1(*three))
 
     def test_plan_shape(self):
@@ -772,7 +760,7 @@ class TestBasisStrategyReduction:
                     g2 = su2_of_basis(t, 2)
                     g3 = su2_of_basis(u, 3)
                     closed = theorem1_distribution(
-                        *family_triple(g1.x, g1.y, g2.x, g2.y, g3.x, g3.y)
+                        *embedded_triple(g1.x, g1.y, g2.x, g2.y, g3.x, g3.y)
                     )
                     oracle = oracle_distribution3(
                         g1.x, g1.y, g2.x, g2.y, g3.x, g3.y
@@ -807,8 +795,8 @@ class TestBasisPreimages:
         for player in (1, 2, 3):
             for k in ALLOWED[player]:
                 gate = su2_of_basis(Octonion.basis(k), player)
-                fam = embed3(player, gate.x, gate.y)
-                npt.assert_allclose(fam.o00.c, Octonion.basis(k).c, atol=1e-15)
+                embedded = embed3(player, gate.x, gate.y)
+                npt.assert_allclose(embedded.c, Octonion.basis(k).c, atol=1e-15)
 
     def test_rejects_foreign_element(self):
         with pytest.raises(ValueError):

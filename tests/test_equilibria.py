@@ -2,7 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from hypergames.coordgame import PLAYER_BASIS, _slot_grid, su2_of_basis, theorem1_probs_batch
+from hypergames.coordgame import (
+    PLAYER_BASIS,
+    _slot_grid,
+    distribution_report,
+    su2_of_basis,
+    theorem1_probs_batch,
+)
 from hypergames.equilibria import (
     BUILTIN_GAME_NAMES,
     DiscreteQuantumMixture,
@@ -17,8 +23,6 @@ from hypergames.equilibria import (
     load_game_file,
     outcome_labels,
     parse_game_file,
-    payoff_pure_basis,
-    payoff_pure_quantum,
     special_distribution,
 )
 from hypergames.hypercomplex import Octonion
@@ -76,6 +80,9 @@ class TestGame3Payoffs:
         game = PayoffTable.from_outcome_table(POKER_TABLE, zero_sum_claimed=True)
         assert game.zero_sum_claimed
         assert dict(game.zero_sum_defects()) == {"FFN": 40.0, "FNF": -2.0}
+        near = PayoffTable.from_outcome_table(dict(POKER_TABLE, FFN=(10, 10, -20 + 2e-9)))
+        defects = dict(near.zero_sum_defects())
+        assert defects == {"FNF": -2.0, "FFN": pytest.approx(2e-9, abs=1e-14)}
 
     def test_rejects_malformed_columns(self):
         for bad_cell in ((0, 0), (np.nan, 0, 0)):
@@ -211,17 +218,31 @@ class TestMixtures:
             DiscreteQuantumMixture(4, [(0, 1.0)])
 
 
+def point_mixture_payoff(k, s, t, u, game):
+    """Player k's payoff when every player plays one basis element: the
+    payoff of the point mixtures on them."""
+    points = [DiscreteQuantumMixture(p, [(o, 1.0)]) for p, o in enumerate((s, t, u), start=1)]
+    return expected_payoff_mixture(k, *points, game)
+
+
+def report_payoff(k, gates, game):
+    """Player k's payoff under one SU2Gate per player, from the closed
+    route's `distribution` report."""
+    report = distribution_report([(g.x, g.y) for g in gates], "octonion", 1e-10, game)
+    return report["payoffs"][k - 1]
+
+
 class TestPureBasisPayoffs:
     def test_identity_cell(self):
         rng = np.random.default_rng(5)
         game = random_game(rng)
         one = Octonion.basis(0)
-        assert payoff_pure_basis(1, one, one, one, game) == cell(game, "NNN")[0]
+        assert point_mixture_payoff(1, one, one, one, game) == cell(game, "NNN")[0]
 
     def test_triple_flip_cell(self):
         rng = np.random.default_rng(7)
         game = random_game(rng)
-        value = payoff_pure_basis(
+        value = point_mixture_payoff(
             1, Octonion.basis(4), Octonion.basis(6), Octonion.basis(7), game
         )
         assert value == pytest.approx(cell(game, "FFF")[0], abs=1e-14)
@@ -241,7 +262,7 @@ class TestPureBasisPayoffs:
             (Octonion.basis(2), Octonion.basis(5), Octonion.basis(3)),
         ]
         values = {
-            round(payoff_pure_basis(2, s, t, u, game), 12) for s, t, u in block
+            round(point_mixture_payoff(2, s, t, u, game), 12) for s, t, u in block
         }
         assert len(values) == 1
 
@@ -254,12 +275,10 @@ class TestPureBasisPayoffs:
                     s = Octonion.basis(i)
                     t = Octonion.basis(j)
                     u = Octonion.basis(l)
-                    direct = payoff_pure_basis(1, s, t, u, game)
-                    via_su2 = payoff_pure_quantum(
+                    direct = point_mixture_payoff(1, s, t, u, game)
+                    via_su2 = report_payoff(
                         1,
-                        su2_of_basis(s, 1),
-                        su2_of_basis(t, 2),
-                        su2_of_basis(u, 3),
+                        [su2_of_basis(s, 1), su2_of_basis(t, 2), su2_of_basis(u, 3)],
                         game,
                     )
                     assert abs(direct - via_su2) < 1e-12
@@ -294,14 +313,14 @@ class TestPureQuantumPayoffs:
         rng = np.random.default_rng(19)
         game = random_game(rng)
         ident = SU2Gate(1, 0)
-        assert payoff_pure_quantum(1, ident, ident, ident, game) == pytest.approx(
+        assert report_payoff(1, [ident] * 3, game) == pytest.approx(
             cell(game, "NNN")[0], abs=1e-14
         )
 
     def test_poker_identity_cell(self):
         game = builtin_games()["poker_printed"]
         ident = SU2Gate(1, 0)
-        assert payoff_pure_quantum(1, ident, ident, ident, game) == pytest.approx(
+        assert report_payoff(1, [ident] * 3, game) == pytest.approx(
             -2.0, abs=1e-12
         )
 

@@ -237,6 +237,8 @@ class TestClassifyGain:
         assert classify_gain(0.4) == "losing"
         assert classify_gain(0.5) == "fair"
         assert classify_gain(0.5 + 1e-14) == "fair"
+        assert classify_gain(0.5 + 2e-12) == "winning"
+        assert classify_gain(0.5 - 2e-12) == "losing"
 
     def test_nan_gain_raises(self):
         # Both comparisons are false for NaN, which would read as "fair".

@@ -12,7 +12,6 @@ from hypergames.parrondo import (
     CoinEmbedding,
     HDGameParams,
     Multiplexer3,
-    apply_blocks,
     block_unitarity_deviation,
     coin_blocks,
     fna_p_win,
@@ -108,7 +107,9 @@ def test_block_application_matches_dense_matrix(batch):
         muxes += [superposed_mux(r[k], pa[k], pb[k]), mux_of(blocks[k])]
         for m in muxes:
             dense = m.matrix @ states[k]
-            assert np.max(np.abs(apply_blocks(m.array, states[k]) - dense)) < 1e-15
+            for w in (0, 1):
+                won = np.sum(np.abs(dense[w::2]) ** 2)
+                assert abs(quantized_p_gain_batch(m.array, states[k], w) - won) < 1e-15
             assert abs(block_unitarity_deviation(m.array) - np.max(
                 np.abs(m.matrix.conj().T @ m.matrix - np.eye(8)))) < 1e-15
 

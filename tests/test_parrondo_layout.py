@@ -11,7 +11,6 @@ from hypergames.parrondo import (
     TYPE2,
     CoinEmbedding,
     HDGameParams,
-    apply_blocks,
     block_unitarity_deviation,
     capital_game_stationary,
     coin_blocks,
@@ -278,8 +277,6 @@ def kernel_pairs(d, layout):
          lambda: ref_su2_matrices(blocks[..., 0, 0], blocks[..., 0, 1])),
         ("proper_initial_state", lambda: proper_initial_state(lay(stationary, 1)),
          lambda: ref_proper_initial_state(lay(stationary, 1))),
-        ("apply_blocks", lambda: apply_blocks(blocks, states),
-         lambda: ref_apply_blocks(blocks, states)),
         ("quantized_p_gain_batch",
          lambda: [quantized_p_gain_batch(blocks, states, w) for w in (0, 1)],
          lambda: [ref_quantized_p_gain_batch(blocks, states, w) for w in (0, 1)]),
@@ -332,7 +329,6 @@ def test_one_block_set_against_many_states():
     blocks = d["blocks"][:1]
     for b in (blocks, coordinate_first(blocks, 3), blocks[0]):
         for states in (d["states"], coordinate_first(d["states"], 1)):
-            assert same(apply_blocks(b, states), ref_apply_blocks(b, states))
             for w in (0, 1):
                 assert same(quantized_p_gain_batch(b, states, w),
                             ref_quantized_p_gain_batch(b, states, w))
@@ -358,7 +354,6 @@ def test_scalar_inputs_keep_their_bits():
     assert same(hd_stationary(coins), ref_hd_solve(coins)[0])
     assert same(proper_initial_state(coins), ref_proper_initial_state(coins))
     assert same(coin_blocks(coins, CoinEmbedding(TYPE2)), ref_coin_blocks(coins, TYPE2))
-    assert same(apply_blocks(blocks, states), ref_apply_blocks(blocks, states))
     assert same(quantized_p_gain_batch(blocks, states, 1), ref_quantized_p_gain_batch(blocks, states, 1))
     assert same(block_unitarity_deviation(blocks), ref_block_unitarity_deviation(blocks))
     q = [qubit[0] for qubit in d["qubits"]]
@@ -489,7 +484,6 @@ def test_outputs_are_coordinate_first_memory():
     assert np.moveaxis(su2_matrices(r, np.sqrt(1.0 - r * r)), (-2, -1), (0, 1)).flags.c_contiguous
     assert hd_stationary(coins).T.flags.c_contiguous
     assert proper_initial_state(coins).T.flags.c_contiguous
-    assert apply_blocks(d["blocks"], d["states"]).T.flags.c_contiguous
     assert su2_matrices(0.6, 0.8).shape == (2, 2)
 
 

@@ -89,6 +89,12 @@ def random_su2_amplitudes(rng, n):
     return v[:, 0] + 1j * v[:, 1], v[:, 2] + 1j * v[:, 3]
 
 
+def random_gates(rng, n):
+    """n Haar-random gates, from the package's sampler."""
+    rows = qstate._unit_gaussian_rows(rng, n)
+    return [SU2Gate(complex(a, b), complex(c, d)) for a, b, c, d in rows]
+
+
 class TestEta:
     def test_sixth_root_for_three_players(self):
         npt.assert_allclose(eta(3) ** 6, 1.0, atol=1e-12)
@@ -143,8 +149,8 @@ class TestSU2Gate:
 
     def test_random_gates_are_unitary(self):
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            m = SU2Gate.random(rng).matrix
+        for g in random_gates(rng, 50):
+            m = g.matrix
             npt.assert_allclose(m @ m.conj().T, np.eye(2), atol=1e-12)
 
     def test_rejects_non_unit_pair(self):
@@ -239,7 +245,7 @@ class TestGameState3:
     def test_matches_explicit_tensor_product(self):
         rng = np.random.default_rng(29)
         for _ in range(100):
-            g1, g2, g3 = (SU2Gate.random(rng) for _ in range(3))
+            g1, g2, g3 = random_gates(rng, 3)
             closed = game_state3(g1.x, g1.y, g2.x, g2.y, g3.x, g3.y)
             npt.assert_allclose(closed, tensor_state3(g1, g2, g3), atol=1e-12)
 
@@ -395,9 +401,8 @@ class TestOracleKernel:
         build = basis_matrix3 if players == 3 else basis_matrix2
         state = game_state3 if players == 3 else game_state2
         args = [a for pair in pairs for a in pair]
-        for e in PHASES[players][:2]:
-            expected = dense_probs(state(*args), build(e))
-            assert np.max(np.abs(oracle(*args, e) - expected)) <= 1e-15
+        expected = dense_probs(state(*args), build(eta(players)))
+        assert np.max(np.abs(oracle(*args) - expected)) <= 1e-15
         # A (1000, 1) player against 16 profiles of the others.
         x, y = random_su2_amplitudes(rng, 1000)
         args = [x[:, None], y[:, None]] + [a[:16] for a in args[2:]]
@@ -608,7 +613,7 @@ class TestMeasure:
     def test_distribution_sums_to_one_for_random_strategies(self):
         rng = np.random.default_rng(43)
         for _ in range(25):
-            gates = [SU2Gate.random(rng) for _ in range(3)]
+            gates = random_gates(rng, 3)
             dist = oracle_distribution3(
                 gates[0].x, gates[0].y, gates[1].x, gates[1].y, gates[2].x, gates[2].y
             )
@@ -627,7 +632,7 @@ class TestGameState2:
     def test_matches_tensor_product(self):
         rng = np.random.default_rng(47)
         for _ in range(200):
-            g1, g2 = SU2Gate.random(rng), SU2Gate.random(rng)
+            g1, g2 = random_gates(rng, 2)
             closed = game_state2(g1.x, g1.y, g2.x, g2.y)
             npt.assert_allclose(closed, local_action([g1, g2], ghz2()), atol=1e-12)
 
@@ -653,7 +658,7 @@ class TestGameState2:
     def test_no_flip_probability_is_squared_real_part(self):
         rng = np.random.default_rng(53)
         for _ in range(1000):
-            g1, g2 = SU2Gate.random(rng), SU2Gate.random(rng)
+            g1, g2 = random_gates(rng, 2)
             dist = oracle_distribution2(g1.x, g1.y, g2.x, g2.y)
             expected = (np.real(g1.x * g2.x + g1.y * g2.y)) ** 2
             assert dist.prob("NN") == pytest.approx(expected, abs=1e-12)
@@ -698,7 +703,7 @@ class TestMeyerPenny:
     def test_density_matrices_stay_physical(self):
         rng = np.random.default_rng(59)
         for _ in range(20):
-            u1, u2 = SU2Gate.random(rng), SU2Gate.random(rng)
+            u1, u2 = random_gates(rng, 2)
             for rho in penny_evolution(0.3, u1, u2):
                 npt.assert_allclose(rho, rho.conj().T, atol=1e-12)
                 assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)

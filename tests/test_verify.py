@@ -97,3 +97,8 @@ def test_random_subalgebra_pairs_keep_the_norm_formula_bits(n):
         got = _random_subalgebra_pairs(np.random.default_rng(seed), n)
         assert same_bytes(got, norm_subalgebra_pairs(np.random.default_rng(seed), n))
 
+
+@pytest.mark.parametrize("suite, tol", [("theorem1", 1e-10), ("landsburg", 1e-10)])
+def test_closed_form_suites_check_at_their_tolerance(suite, tol):
+    (check,) = verify.run_suite(suite, samples=5)["checks"]
+    assert check["tolerance"] == tol
