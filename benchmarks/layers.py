@@ -32,8 +32,8 @@ running ``python -m hypergames.cli verify --suite corollary``, which must
 exit 0; its faults are those of the child processes.
 
 Two entries repeat a perfbench operation, each in a fresh interpreter
-(``--entry NAME``), so the heap history and the page faults are those of
-perfbench's loop rather than of the calls timed before them here:
+(``--entry NAME@SHIFT``), so the heap history and the page faults are those
+of perfbench's loop rather than of the calls timed before them here:
 ``sweep_op`` runs the four calls of a ``sweep`` operation on SWEEP_POOL
 batches of SWEEP_BATCH profiles, and ``equilibrium_op`` runs
 ``expected_payoff_mixture``, ``indifference_check`` and
@@ -45,7 +45,14 @@ alive, and an untimed gate follows it: for ``sweep_op`` the closed forms
 within 1e-10 of their oracles and the oracle rows summing to 1, for
 ``equilibrium_op`` a passed report and the closed form against the oracle
 on 4 fresh strategies of the player in the same (n, 1) x 16 broadcast.
-Their faults are counted over the operations alone.
+Their faults are counted over the operations alone.  Each entry runs once
+at every heap shift in HEAP_SHIFTS: the process holds a ``bytearray`` of
+that many bytes from before it imports the package, which moves where the
+heap places everything allocated after it.  While kernel rows sat where
+the heap put them, the same code read up to 1.3x apart across these shifts
+(``BENCH_22.json``), so one shift is one draw of the layout; the record
+keeps each shift's entry and the slowest shift's median over the
+fastest's (``shift_spread``).
 
 Each entry holds the median and the interquartile range of the wall-clock
 seconds per call over its repeats, after one untimed warm-up call, and the
@@ -97,6 +104,7 @@ SWEEP_BATCH = 16384
 SWEEP_POOL = 4
 TABLES = ("poker_printed", "poker_zero_sum_corrected", "dilemma_printed")
 FRESH_REPEATS = {"sweep_op": 101, "equilibrium_op": 301}
+HEAP_SHIFTS = (0, 1000, 2048, 3000, 7000)  # bytes held before the import
 ROUNDS = 28
 SEED = 3
 TOL = 1e-10
@@ -209,6 +217,7 @@ def equilibrium_op(rng):
 
 
 FRESH_ENTRIES = {"sweep_op": sweep_op, "equilibrium_op": equilibrium_op}
+FRESH_CHOICES = ["%s@%d" % (name, shift) for name in FRESH_ENTRIES for shift in HEAP_SHIFTS]
 
 
 def parrondo_inputs(rng, n):
@@ -265,8 +274,11 @@ def parrondo_layers(rng):
     }
 
 
-def fresh_entry(name):
-    """Seconds per operation of one perfbench loop in this process."""
+def fresh_entry(choice):
+    """Seconds per operation of one perfbench loop in this process, at the
+    heap shift of choice, NAME@SHIFT."""
+    name, shift = choice.split("@")
+    held = bytearray(int(shift))  # allocated before the package, kept to the end
     ops, run, gate = FRESH_ENTRIES[name](np.random.default_rng(SEED))
     result = run(ops[-2])
     result = run(ops[-1])
@@ -286,16 +298,28 @@ def fresh_entry(name):
         "iqr_s": float(q75 - q25),
         "repeats": len(times),
         "minor_faults_per_call": faults / len(times),
+        "heap_shift_bytes": len(held),
     }
 
 
 def run_fresh(src, name):
-    """One fresh process running fresh_entry(name) on the package at src."""
-    done = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--src", src, "--entry", name],
-        check=True, capture_output=True, text=True,
-    )
-    return json.loads(done.stdout)
+    """fresh_entry(name) at each of HEAP_SHIFTS, each in a fresh process on
+    the package at src, and the slowest shift's median over the fastest's."""
+    shifts = {}
+    for shift in HEAP_SHIFTS:
+        done = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--src", src,
+             "--entry", "%s@%d" % (name, shift)],
+            check=True, capture_output=True, text=True,
+        )
+        shifts["shift_%d" % shift] = json.loads(done.stdout)
+    return dict(shifts, shift_spread=shift_spread(shifts))
+
+
+def shift_spread(shifts):
+    """The slowest median over the fastest among one entry's shifts."""
+    medians = [entry["median_s"] for entry in shifts.values() if isinstance(entry, dict)]
+    return max(medians) / min(medians)
 
 
 def measure(src):
@@ -464,6 +488,8 @@ def over_rounds(rounds):
                 ("2", "landsburg_probs_batch", "oracle_probs2_batch")):
             size["closed_over_oracle" + players] = (
                 layers[closed]["median_s"] / layers[oracle]["median_s"])
+    for shifts in record["fresh_process"].values():
+        shifts["shift_spread"] = shift_spread(shifts)
     return record
 
 
@@ -507,8 +533,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"))
     parser.add_argument("--parent", help="src of the parent tree: measure both")
-    parser.add_argument("--entry", choices=sorted(FRESH_ENTRIES),
-                        help="print one perfbench-loop entry, measured in this process")
+    parser.add_argument("--entry", choices=FRESH_CHOICES,
+                        help="print one perfbench-loop entry at one heap shift, "
+                             "measured in this process")
     args = parser.parse_args(argv)
     if args.parent is None:
         src = os.path.abspath(args.src)

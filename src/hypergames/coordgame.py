@@ -42,6 +42,7 @@ from .qstate import (
     normalized,
     oracle_probs2_batch,
     oracle_probs3_batch,
+    page_rows,
 )
 from .records import check_record
 
@@ -221,7 +222,7 @@ def _theorem1_probs(shape, largest, blocks):
     output's halves are squared and added as soon as they are formed.  All
     blocks reuse block_buffer 1.
     """
-    probs = np.empty((8, math.prod(shape)))
+    probs = page_rows((8, math.prod(shape)))
     scratch = block_buffer(1, (11,), largest, _WIDTH3)
     for factors, cols in blocks:
         rows = scratch[:, : cols.stop - cols.start]
@@ -336,7 +337,7 @@ def landsburg_probs_batch(A, B, P, Q):
     pairs = ((A, B), (P, np.conj(Q)))
     width = _CLOSED_ENTRIES // 4
     shape, largest, blocks = _embedded_blocks(width, pairs, (1, 1), (ETA2, -ETA2))
-    probs = np.empty((4, math.prod(shape)))
+    probs = page_rows((4, math.prod(shape)))
     term = block_buffer(1, (1,), largest, width)
     for (left, right), cols in blocks:
         p = probs[:, cols]

@@ -300,6 +300,42 @@ def in_blocks(width, *arrays):
     return shape, rows * row, (block(start) for start in range(0, shape[0], rows))
 
 
+PAGE = 4096  # bytes: a kernel row at least this long starts on a page boundary
+# Rows of more than PADDED_ROW entries are also a whole number of pages
+# apart.  Shorter ones stay packed: numpy runs a ufunc over strided rows of
+# up to 2048 entries about 4x slower than over packed rows.
+PADDED_ROW = 2048
+
+
+def _row_pitch(columns, dtype):
+    """Bytes from the start of one row of columns entries to the next, for a
+    row that fills a page and so starts on one; None for a shorter row."""
+    row = columns * np.dtype(dtype).itemsize
+    if row < PAGE:
+        return None
+    return row if columns <= PADDED_ROW else -(-row // PAGE) * PAGE
+
+
+def _on_pages(shape, dtype, storage, pitch):
+    """shape of dtype on storage from its first page boundary, rows pitch
+    bytes apart; storage holds at least a page more than the rows."""
+    lead = shape[:-1]
+    strides = [pitch * math.prod(lead[k + 1:]) for k in range(len(lead))]
+    strides.append(np.dtype(dtype).itemsize)
+    return np.ndarray(shape, dtype, storage, -storage.ctypes.data % PAGE, strides)
+
+
+def page_rows(shape, dtype=float):
+    """An empty array of shape for a kernel's output rows, its last axis,
+    laid out as block_buffer lays out its rows.  Rows shorter than a page
+    are np.empty(shape, dtype), so a batch of one stays a plain array."""
+    pitch = _row_pitch(shape[-1], dtype)
+    if pitch is None:
+        return np.empty(shape, dtype)
+    storage = np.empty(math.prod(shape[:-1]) * pitch + PAGE, np.uint8)
+    return _on_pages(shape, dtype, storage, pitch)
+
+
 class _KeptSlots(threading.local):
     """Each thread's block scratch: flat float64 storage by slot number."""
 
@@ -322,16 +358,31 @@ def block_buffer(slot, rows, largest, width, dtype=float):
     buffer of its own, which is not kept.  Its contents are garbage on entry
     and dead when the kernel returns, and nothing a kernel returns may be a
     view of it.
+
+    A row of at least PAGE bytes starts on a page boundary, and rows of
+    more than PADDED_ROW entries are a whole number of pages apart: the
+    storage holds one page more, and the view starts at its first boundary.
+    Each plan step reads two rows and writes a third, and how fast it runs
+    depends on where those rows sit within their pages.  Where the heap put
+    them, the same operations ran up to 1.3x apart with nothing changed but
+    the size of one allocation made before the import (BENCH_22.json); on
+    page boundaries they run at the fast end whatever the heap did.
     """
     shape = rows + (largest,)
     if largest > width:
-        return np.empty(shape, dtype)
+        return page_rows(shape, dtype)
+    pitch = _row_pitch(largest, dtype)
+    if pitch is None:
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    else:
+        nbytes = math.prod(rows) * pitch + PAGE
     kept = _KEPT.slots
     storage = kept.get(slot)
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     if storage is None or storage.nbytes < nbytes:
         storage = kept[slot] = np.empty(nbytes // 8)
-    return np.ndarray(shape, dtype, storage)
+    if pitch is None:
+        return np.ndarray(shape, dtype, storage)
+    return _on_pages(shape, dtype, storage, pitch)
 
 
 def normalized(p, shape):
@@ -356,7 +407,7 @@ def _oracle_probs(gates):
     c, d = _basis_change(len(gates), eta(len(gates)))
     width = _BLOCK_ENTRIES // len(c)
     shape, largest, blocks = in_blocks(width, *(a for gate in gates for a in gate))
-    p = np.empty((len(c), math.prod(shape)))
+    p = page_rows((len(c), math.prod(shape)))
     buffer = block_buffer(0, (3, len(c)), largest, width, complex)
     for block, block_shape, cols in blocks:
         state, changed, term = buffer[..., : cols.stop - cols.start]

@@ -289,10 +289,12 @@ class TestBufferContract:
         # Rows of 3 widths: every block is one row longer than the width.
         rng = np.random.default_rng(109)
         width3, width2 = coordgame._WIDTH3, coordgame._CLOSED_ENTRIES // 4
+        page = qstate.PAGE // 8  # each kept slot's storage holds one page more
         for kernel, oracle, arity, slot_sizes in (
             (theorem1_probs_batch, oracle_probs3_batch, 6,
-             {0: 24 * width3, 1: 11 * width3}),
-            (landsburg_probs_batch, oracle_probs2_batch, 4, {0: 16 * width2, 1: width2}),
+             {0: 24 * width3 + page, 1: 11 * width3 + page}),
+            (landsburg_probs_batch, oracle_probs2_batch, 4,
+             {0: 16 * width2 + page, 1: width2 + page}),
         ):
             width = width3 if arity == 6 else width2
             args = [z.reshape(2, 3 * width) for _ in range(arity // 2)
@@ -640,6 +642,105 @@ class TestSharedProductPlan:
         assert read == [{0, 1, 3, 7}, {2, 4, 5, 6}]
         first_g, first_h = (first for first, _, _ in _ROUTE_TABLES)
         assert np.array_equal(first_g[:2], first_h[:2])
+
+
+def buffer_rows(buffer):
+    """Start address and byte length of each row of a coordinate-first
+    buffer, along its last axis."""
+    rows = (buffer[index] for index in np.ndindex(buffer.shape[:-1]))
+    return [(row.ctypes.data, row.nbytes) for row in rows]
+
+
+def output_rows(out):
+    """The same for a kernel's coordinate-last result: a row is one
+    coordinate over the whole batch."""
+    rows = (out[..., k] for k in range(out.shape[-1]))
+    return [(row.ctypes.data, row.nbytes) for row in rows]
+
+
+def kernel_arrays(monkeypatch, kernel, args):
+    """kernel(*args) and every block_buffer view it took."""
+    seen, block_buffer = [], qstate.block_buffer
+
+    def recording(*a, **kw):
+        seen.append(block_buffer(*a, **kw))
+        return seen[-1]
+
+    monkeypatch.setattr(coordgame, "block_buffer", recording)
+    monkeypatch.setattr(qstate, "block_buffer", recording)
+    return kernel(*args), seen
+
+
+class TestRowsOnPages:
+    """Every kept or returned kernel row of at least qstate.PAGE bytes starts
+    on a page boundary; shorter rows keep the plain layout."""
+
+    # Each kernel's arity and block width in profiles.
+    KERNELS = {
+        theorem1_probs_batch: (6, coordgame._WIDTH3),
+        oracle_probs3_batch: (6, qstate._BLOCK_ENTRIES // 8),
+        landsburg_probs_batch: (4, coordgame._CLOSED_ENTRIES // 4),
+        oracle_probs2_batch: (4, qstate._BLOCK_ENTRIES // 4),
+    }
+
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_kept_and_output_rows_start_on_pages(self, monkeypatch, kernel):
+        arity, width = self.KERNELS[kernel]
+        rng = np.random.default_rng(137)
+        flat = [z for _ in range(arity // 2) for z in unit_pairs(rng, 10_000)]
+        # Leading rows longer than the width: buffers that are not kept.
+        wide = [z.reshape(2, 3 * width) for _ in range(arity // 2)
+                for z in unit_pairs(rng, 6 * width)]
+        for args in (flat, wide):
+            out, seen = kernel_arrays(monkeypatch, kernel, args)
+            assert len(seen) == (2 if kernel in (theorem1_probs_batch, landsburg_probs_batch) else 1)
+            rows = output_rows(out) + [row for buffer in seen for row in buffer_rows(buffer)]
+            assert all(nbytes >= qstate.PAGE for _, nbytes in rows)
+            assert all(address % qstate.PAGE == 0 for address, _ in rows)
+            # The same bits as the kernel on packed rows, 100 profiles at a time.
+            columns = [z.reshape(-1) for z in args]
+            packed = [kernel(*(z[k:k + 100] for z in columns))
+                      for k in range(0, columns[0].size, 100)]
+            assert np.array_equal(out.reshape(-1, out.shape[-1]), np.concatenate(packed))
+            if kernel is theorem1_probs_batch:
+                assert np.array_equal(out, reference_theorem1(*args))
+
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_rows_up_to_the_padded_length_are_packed_from_a_page(self, monkeypatch, kernel):
+        # 1000 profiles: rows of a page or more, but of at most PADDED_ROW
+        # entries, follow one another from a page boundary.
+        players = self.KERNELS[kernel][0] // 2
+        args = [z for _ in range(players) for z in unit_pairs(np.random.default_rng(149), 1000)]
+        out, seen = kernel_arrays(monkeypatch, kernel, args)
+        for a in seen + [np.moveaxis(out, -1, 0)]:
+            assert a.shape[-1] <= qstate.PADDED_ROW and a.shape[-1] * a.itemsize >= qstate.PAGE
+            assert a.flags.c_contiguous and a.ctypes.data % qstate.PAGE == 0
+
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_batch_of_one_is_a_plain_array(self, kernel):
+        players = self.KERNELS[kernel][0] // 2
+        args = [z for _ in range(players) for z in unit_pairs(np.random.default_rng(139), 1)]
+        out = kernel(*args)
+        assert out.shape == (1, 2**players) and out.flags.c_contiguous
+        assert out.base.nbytes == out.nbytes
+        if kernel is theorem1_probs_batch:
+            assert np.array_equal(out, reference_theorem1(*args))
+
+    def test_page_rows_pads_only_long_rows(self):
+        short = qstate.page_rows((8, 511))
+        assert short.flags.c_contiguous and short.base is None
+        for shape, dtype, padded in (
+                ((8, 512), float, False), ((3, 4, 1000), complex, False),
+                ((8, 2048), float, False), ((4, 2049), float, True),
+                ((4, 10_000), float, True)):
+            a = qstate.page_rows(shape, dtype)
+            assert a.shape == shape and a.dtype == dtype
+            assert a.ctypes.data % qstate.PAGE == 0
+            assert a.flags.c_contiguous is not padded
+            row = shape[-1] * a.itemsize
+            pitch = -(-row // qstate.PAGE) * qstate.PAGE if padded else row
+            assert a.strides[-2:] == (pitch, a.itemsize)
+            assert a.base.nbytes == math.prod(shape[:-1]) * pitch + qstate.PAGE
 
 
 def nan_between_blocks(width, pairs, players, twists):

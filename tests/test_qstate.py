@@ -499,6 +499,7 @@ class TestBlockBuffer:
         # holds either oracle's three blocks of complex rows; slot 1 the
         # 3-player scratch, the first product, the halves pair and the term
         # row, 11 rows of 4096, 352 KiB, which also holds the 2-player term.
+        # Their rows start on page boundaries, so each holds one page more.
         rng = np.random.default_rng(91)
         args = [z for _ in range(3) for z in random_su2_amplitudes(rng, 20000)]
 
@@ -512,7 +513,7 @@ class TestBlockBuffer:
 
         kept = in_new_thread(calls)
         assert {slot: storage.nbytes for slot, storage in kept.items()} == {
-            0: 2**20, 1: 11 * 2**15}
+            0: 2**20 + qstate.PAGE, 1: 11 * 2**15 + qstate.PAGE}
 
 
 class TestOracleBufferContract:
@@ -531,9 +532,10 @@ class TestOracleBufferContract:
             (got, kept_wide), flat, kept = in_new_thread(calls)
             assert kept_wide == {}
             assert np.array_equal(got, flat.reshape(got.shape))
-            # The flat batch ran in blocks of the width; so much is kept.
+            # The flat batch ran in blocks of the width; so much is kept,
+            # and one page more to start the rows on page boundaries.
             assert {slot: storage.nbytes for slot, storage in kept.items()} == {
-                0: 3 * 16 * qstate._BLOCK_ENTRIES}
+                0: 3 * 16 * qstate._BLOCK_ENTRIES + qstate.PAGE}
 
     def test_peak_allocation_is_near_the_output(self):
         # After a warm-up call the blocks reuse kept buffers, so the call's
