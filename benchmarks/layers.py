@@ -49,8 +49,8 @@ Their faults are counted over the operations alone.  Each entry runs once
 at every heap shift in HEAP_SHIFTS: the process holds a ``bytearray`` of
 that many bytes from before it imports the package, which moves where the
 heap places everything allocated after it.  While kernel rows sat where
-the heap put them, the same code read up to 1.3x apart across these shifts
-(``BENCH_22.json``), so one shift is one draw of the layout; the record
+the heap put them, the same code read up to 1.3x apart across these
+shifts, so one shift is one draw of the layout; the record
 keeps each shift's entry and the slowest shift's median over the
 fastest's (``shift_spread``).
 

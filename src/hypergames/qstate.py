@@ -300,20 +300,21 @@ def in_blocks(width, *arrays):
     return shape, rows * row, (block(start) for start in range(0, shape[0], rows))
 
 
-PAGE = 4096  # bytes: a kernel row at least this long starts on a page boundary
-# Rows of more than PADDED_ROW entries are also a whole number of pages
-# apart.  Shorter ones stay packed: numpy runs a ufunc over strided rows of
-# up to 2048 entries about 4x slower than over packed rows.
-PADDED_ROW = 2048
+PAGE = 4096  # bytes
+# Rows of at least PAGED_ROW entries start on a page boundary and are a
+# whole number of pages apart.  Shorter rows stay where the heap puts them:
+# numpy runs a ufunc over strided rows that short about 4x slower than over
+# packed ones, and packed from a page boundary the kernels ran slower than
+# at the heap's offsets (at 600-1500 profiles; CHANGES.md).
+PAGED_ROW = 2048
 
 
 def _row_pitch(columns, dtype):
-    """Bytes from the start of one row of columns entries to the next, for a
-    row that fills a page and so starts on one; None for a shorter row."""
-    row = columns * np.dtype(dtype).itemsize
-    if row < PAGE:
+    """Bytes from the start of one row of columns entries to the next, a
+    whole number of pages; None for a row of fewer than PAGED_ROW entries."""
+    if columns < PAGED_ROW:
         return None
-    return row if columns <= PADDED_ROW else -(-row // PAGE) * PAGE
+    return -(-columns * np.dtype(dtype).itemsize // PAGE) * PAGE
 
 
 def _on_pages(shape, dtype, storage, pitch):
@@ -327,8 +328,9 @@ def _on_pages(shape, dtype, storage, pitch):
 
 def page_rows(shape, dtype=float):
     """An empty array of shape for a kernel's output rows, its last axis,
-    laid out as block_buffer lays out its rows.  Rows shorter than a page
-    are np.empty(shape, dtype), so a batch of one stays a plain array."""
+    laid out as block_buffer lays out its rows.  Rows of fewer than
+    PAGED_ROW entries are np.empty(shape, dtype), so a batch of one stays a
+    plain array."""
     pitch = _row_pitch(shape[-1], dtype)
     if pitch is None:
         return np.empty(shape, dtype)
@@ -359,14 +361,15 @@ def block_buffer(slot, rows, largest, width, dtype=float):
     and dead when the kernel returns, and nothing a kernel returns may be a
     view of it.
 
-    A row of at least PAGE bytes starts on a page boundary, and rows of
-    more than PADDED_ROW entries are a whole number of pages apart: the
-    storage holds one page more, and the view starts at its first boundary.
-    Each plan step reads two rows and writes a third, and how fast it runs
-    depends on where those rows sit within their pages.  Where the heap put
-    them, the same operations ran up to 1.3x apart with nothing changed but
-    the size of one allocation made before the import (BENCH_22.json); on
-    page boundaries they run at the fast end whatever the heap did.
+    Rows of at least PAGED_ROW entries start on page boundaries and are a
+    whole number of pages apart: the storage holds one page more, and the
+    view starts at its first boundary.  Each plan step reads two rows and
+    writes a third, and how fast it runs depends on where those rows sit
+    within their pages.  Where the heap put them, the same operations ran
+    up to 1.3x apart with nothing changed but the size of one allocation
+    made before the import; on page boundaries a perfbench-style
+    equilibrium operation took 0.77-0.81 of its time with the heap's
+    placement, at each of five such sizes (BENCH_22.json).
     """
     shape = rows + (largest,)
     if largest > width:

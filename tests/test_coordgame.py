@@ -645,17 +645,24 @@ class TestSharedProductPlan:
 
 
 def buffer_rows(buffer):
-    """Start address and byte length of each row of a coordinate-first
-    buffer, along its last axis."""
+    """Start address and entries of each row of a coordinate-first buffer,
+    along its last axis."""
     rows = (buffer[index] for index in np.ndindex(buffer.shape[:-1]))
-    return [(row.ctypes.data, row.nbytes) for row in rows]
+    return [(row.ctypes.data, row.size) for row in rows]
 
 
 def output_rows(out):
     """The same for a kernel's coordinate-last result: a row is one
     coordinate over the whole batch."""
     rows = (out[..., k] for k in range(out.shape[-1]))
-    return [(row.ctypes.data, row.nbytes) for row in rows]
+    return [(row.ctypes.data, row.size) for row in rows]
+
+
+def storage_of(a):
+    """The array that owns a's memory."""
+    while a.base is not None:
+        a = a.base
+    return a
 
 
 def kernel_arrays(monkeypatch, kernel, args):
@@ -672,8 +679,8 @@ def kernel_arrays(monkeypatch, kernel, args):
 
 
 class TestRowsOnPages:
-    """Every kept or returned kernel row of at least qstate.PAGE bytes starts
-    on a page boundary; shorter rows keep the plain layout."""
+    """Every kept or returned kernel row of at least qstate.PAGED_ROW entries
+    starts on a page boundary; shorter rows keep the plain layout."""
 
     # Each kernel's arity and block width in profiles.
     KERNELS = {
@@ -695,9 +702,9 @@ class TestRowsOnPages:
             out, seen = kernel_arrays(monkeypatch, kernel, args)
             assert len(seen) == (2 if kernel in (theorem1_probs_batch, landsburg_probs_batch) else 1)
             rows = output_rows(out) + [row for buffer in seen for row in buffer_rows(buffer)]
-            assert all(nbytes >= qstate.PAGE for _, nbytes in rows)
+            assert all(size >= qstate.PAGED_ROW for _, size in rows)
             assert all(address % qstate.PAGE == 0 for address, _ in rows)
-            # The same bits as the kernel on packed rows, 100 profiles at a time.
+            # The same bits as the kernel on plain rows, 100 profiles at a time.
             columns = [z.reshape(-1) for z in args]
             packed = [kernel(*(z[k:k + 100] for z in columns))
                       for k in range(0, columns[0].size, 100)]
@@ -705,40 +712,36 @@ class TestRowsOnPages:
             if kernel is theorem1_probs_batch:
                 assert np.array_equal(out, reference_theorem1(*args))
 
+    @pytest.mark.parametrize("n", [1, 1000, qstate.PAGED_ROW - 1])
     @pytest.mark.parametrize("kernel", list(KERNELS))
-    def test_rows_up_to_the_padded_length_are_packed_from_a_page(self, monkeypatch, kernel):
-        # 1000 profiles: rows of a page or more, but of at most PADDED_ROW
-        # entries, follow one another from a page boundary.
+    def test_short_rows_keep_the_plain_layout(self, monkeypatch, kernel, n):
+        # Rows of fewer than PAGED_ROW entries: each buffer starts where its
+        # storage does, and the result's storage is exactly its size.
         players = self.KERNELS[kernel][0] // 2
-        args = [z for _ in range(players) for z in unit_pairs(np.random.default_rng(149), 1000)]
+        args = [z for _ in range(players) for z in unit_pairs(np.random.default_rng(139), n)]
         out, seen = kernel_arrays(monkeypatch, kernel, args)
-        for a in seen + [np.moveaxis(out, -1, 0)]:
-            assert a.shape[-1] <= qstate.PADDED_ROW and a.shape[-1] * a.itemsize >= qstate.PAGE
-            assert a.flags.c_contiguous and a.ctypes.data % qstate.PAGE == 0
-
-    @pytest.mark.parametrize("kernel", list(KERNELS))
-    def test_batch_of_one_is_a_plain_array(self, kernel):
-        players = self.KERNELS[kernel][0] // 2
-        args = [z for _ in range(players) for z in unit_pairs(np.random.default_rng(139), 1)]
-        out = kernel(*args)
-        assert out.shape == (1, 2**players) and out.flags.c_contiguous
-        assert out.base.nbytes == out.nbytes
+        assert out.shape == (n, 2**players)
+        assert np.moveaxis(out, -1, 0).flags.c_contiguous
+        assert storage_of(out).nbytes == out.nbytes
+        if n == 1:
+            assert out.flags.c_contiguous
+        for buffer in seen:
+            assert buffer.flags.c_contiguous
+            assert buffer.ctypes.data == storage_of(buffer).ctypes.data
         if kernel is theorem1_probs_batch:
             assert np.array_equal(out, reference_theorem1(*args))
 
-    def test_page_rows_pads_only_long_rows(self):
-        short = qstate.page_rows((8, 511))
-        assert short.flags.c_contiguous and short.base is None
-        for shape, dtype, padded in (
-                ((8, 512), float, False), ((3, 4, 1000), complex, False),
-                ((8, 2048), float, False), ((4, 2049), float, True),
-                ((4, 10_000), float, True)):
+    def test_page_rows_pages_only_long_rows(self):
+        for shape, dtype in (((8, 1), float), ((8, 2047), float), ((3, 4, 1000), complex)):
+            a = qstate.page_rows(shape, dtype)
+            assert a.shape == shape and a.dtype == dtype
+            assert a.flags.c_contiguous and a.base is None
+        for shape, dtype in (((8, 2048), float), ((3, 4, 2048), complex),
+                             ((4, 2049), float), ((4, 10_000), float)):
             a = qstate.page_rows(shape, dtype)
             assert a.shape == shape and a.dtype == dtype
             assert a.ctypes.data % qstate.PAGE == 0
-            assert a.flags.c_contiguous is not padded
-            row = shape[-1] * a.itemsize
-            pitch = -(-row // qstate.PAGE) * qstate.PAGE if padded else row
+            pitch = -(-shape[-1] * a.itemsize // qstate.PAGE) * qstate.PAGE
             assert a.strides[-2:] == (pitch, a.itemsize)
             assert a.base.nbytes == math.prod(shape[:-1]) * pitch + qstate.PAGE
 
