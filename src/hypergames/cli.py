@@ -31,7 +31,7 @@ from .equilibria import (
 )
 from .parrondo import capital_report, fna_report, hd_report, sequence_report
 from .records import RECORD_KEYS, all_passed, records
-from .verify import run_suite
+from .verify import SUITE_NAMES, run_suite
 
 NORM_WARN = 1e-9
 NORM_ERROR = 1e-3
@@ -318,7 +318,7 @@ def build_parser():
     )
     p_ver.add_argument(
         "--suite",
-        choices=("theorem1", "corollary", "landsburg", "parrondo", "all"),
+        choices=SUITE_NAMES + ("all",),
         default="all",
     )
     p_ver.add_argument(

@@ -27,11 +27,9 @@ from .coordgame import (
     PLAYER_BASIS,
     _slot_grid,
     _strategy_pair,
-    basis_index,
     basis_slot,
     theorem1_probs_batch,
 )
-from .hypercomplex import Octonion
 from .qstate import _unit_gaussian_rows, outcome_labels
 from .records import check_record
 
@@ -171,34 +169,29 @@ def builtin_games():
 class DiscreteQuantumMixture:
     """Mixed quantum strategy supported on a player's basis-element strategies.
 
-    The support is a list of (basis element, weight) pairs; elements may be
-    passed as Octonion instances or as raw basis indices.
+    Built from (basis element, weight) pairs, the elements given as anything
+    basis_slot reads.  weights holds the weight of each of the player's four
+    basis strategies, in PLAYER_BASIS order: the diagonal of the mixture's
+    second moment.
     """
 
     def __init__(self, player, support):
-        if player not in PLAYER_BASIS:
-            raise ValueError("player must be 1, 2, or 3, got %r" % (player,))
         self.player = player
-        cleaned = []
+        self.weights = np.zeros(4)
         total = 0.0
         for element, weight in support:
             weight = float(weight)
-            if weight < -1e-15:
+            if not weight >= -1e-15:
                 raise ValueError("mixture weights must be nonnegative")
-            if isinstance(element, Octonion):
-                element = basis_index(element, player)
-            index = int(element)
-            basis_slot(player, index)
-            cleaned.append((index, weight))
+            self.weights[basis_slot(element, player)] += weight
             total += weight
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError("mixture weights must sum to 1, got %r" % total)
-        self.support = tuple(cleaned)
 
     def __repr__(self):
-        return "DiscreteQuantumMixture(player=%d, support=%r)" % (
+        return "DiscreteQuantumMixture(player=%d, weights=%r)" % (
             self.player,
-            self.support,
+            self.weights.tolist(),
         )
 
 
@@ -212,15 +205,15 @@ def special_distribution(player):
 def expected_payoff_mixture(k, m1, m2, m3, game):
     """Expected payoff to player k under independent basis mixtures.
 
-    Contracts the three mixtures' weights with the payoff of every
-    basis-strategy triple, read from the BASIS_OUTCOMES table.
+    Contracts the weights of players 1, 2 and 3's mixtures, in that order,
+    with the payoff of every basis-strategy triple, read from the
+    BASIS_OUTCOMES table.
     """
-    weights = np.zeros((3, 4))
-    for slot, mixture in enumerate((m1, m2, m3)):
-        for index, weight in mixture.support:
-            weights[slot, basis_slot(slot + 1, index)] += weight
+    players = (m1.player, m2.player, m3.player)
+    if players != (1, 2, 3):
+        raise ValueError("expected the mixtures of players 1, 2 and 3 in order, got %r" % (players,))
     payoffs = BASIS_OUTCOMES @ game.payoffs_for(k)
-    return float(np.einsum("i,j,l,ijl->", *weights, payoffs))
+    return float(np.einsum("i,j,l,ijl->", m1.weights, m2.weights, m3.weights, payoffs))
 
 
 def _random_subalgebra_pairs(rng, samples):

@@ -18,6 +18,7 @@ from hypergames.coordgame import (
     OUTCOME_OF_INDEX,
     PLAYER_BASIS,
     _embed,
+    basis_slot,
     corollary_distribution,
     embed3,
     landsburg_probs,
@@ -882,6 +883,10 @@ class TestBasisStrategyReduction:
             corollary_distribution(one + one, one, one)
         with pytest.raises(ValueError):
             corollary_distribution(one, one, Octonion.basis(0) + Octonion.basis(1))
+        with pytest.raises(ValueError, match="single basis element"):
+            corollary_distribution(np.r_[1.0, np.nan, np.zeros(6)], one, one)
+        with pytest.raises(ValueError, match="single basis element"):
+            corollary_distribution(np.r_[np.nan, np.zeros(7)], one, one)
 
 
 class TestBasisPreimages:
@@ -905,6 +910,17 @@ class TestBasisPreimages:
     def test_rejects_foreign_element(self):
         with pytest.raises(ValueError):
             su2_of_basis(Octonion.basis(5), 1)
+
+    @pytest.mark.parametrize("player", [0, 4, None])
+    def test_rejects_unknown_player(self, player):
+        with pytest.raises(ValueError, match="player must be 1, 2, or 3"):
+            su2_of_basis(Octonion.basis(0), player)
+
+    def test_slot_of_each_form(self):
+        for player in (1, 2, 3):
+            for slot, k in enumerate(PLAYER_BASIS[player]):
+                for o in (Octonion.basis(k), np.eye(8)[k], list(np.eye(8)[k]), k):
+                    assert basis_slot(o, player) == slot
 
 
 class TestTwoPlayerQuaternionMap:

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from hypergames.coordgame import (
+    BASIS_OUTCOMES,
     PLAYER_BASIS,
     _slot_grid,
     distribution_report,
@@ -199,13 +202,19 @@ class TestMixtures:
     def test_special_distribution_support(self):
         for player in (1, 2, 3):
             mix = special_distribution(player)
-            indices = sorted(i for i, _ in mix.support)
-            assert indices == sorted(PLAYER_BASIS[player])
-            assert all(w == 0.25 for _, w in mix.support)
+            assert mix.player == player
+            assert mix.weights.tolist() == [0.25] * len(PLAYER_BASIS[player])
 
     def test_accepts_octonion_elements(self):
         mix = DiscreteQuantumMixture(1, [(Octonion.basis(0), 0.5), (4, 0.5)])
-        assert sorted(i for i, _ in mix.support) == [0, 4]
+        same = DiscreteQuantumMixture(1, [(0, 0.5), (Octonion.basis(4), 0.5)])
+        expected = np.zeros(4)
+        expected[[PLAYER_BASIS[1].index(0), PLAYER_BASIS[1].index(4)]] = 0.5
+        assert mix.weights.tolist() == same.weights.tolist() == expected.tolist()
+        repeated = DiscreteQuantumMixture(
+            2, [(0, 0.25), (Octonion.basis(0), 0.25), (np.eye(8)[1], 0.5)]
+        )
+        assert repeated.weights.tolist() == [0.5, 0.5, 0.0, 0.0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -216,6 +225,33 @@ class TestMixtures:
             DiscreteQuantumMixture(2, [(2, 1.0)])
         with pytest.raises(ValueError):
             DiscreteQuantumMixture(4, [(0, 1.0)])
+
+    @pytest.mark.parametrize(
+        "support",
+        [
+            [(0, np.nan), (1, 1.0)],
+            [(0, 1.0), (1, np.nan)],
+            [(0, np.inf), (1, 1.0)],
+            [(0, np.inf), (1, -np.inf)],
+            [(0, 1.0), (1, -1e-14)],
+        ],
+    )
+    def test_rejects_nan_infinite_and_negative_weights(self, support):
+        with pytest.raises(ValueError, match="mixture weights must"):
+            DiscreteQuantumMixture(1, support)
+
+
+def reference_payoff(k, supports, game):
+    """Player k's payoff from (basis index, weight) supports, one per player,
+    by the formula of the (index, weight) representation: zeros, += per
+    support entry into its PLAYER_BASIS slot, and one einsum over the rows
+    of a (3, 4) array."""
+    weights = np.zeros((3, 4))
+    for row, support in enumerate(supports):
+        for index, weight in support:
+            weights[row, PLAYER_BASIS[row + 1].index(index)] += weight
+    payoffs = BASIS_OUTCOMES @ game.payoffs_for(k)
+    return float(np.einsum("i,j,l,ijl->", *weights, payoffs))
 
 
 def point_mixture_payoff(k, s, t, u, game):
@@ -292,6 +328,38 @@ class TestMixturePayoffs:
         for k in (1, 2, 3):
             value = expected_payoff_mixture(k, *points, game)
             assert value == cell(game, "NNN")[k - 1]
+
+    def test_matches_reference_bit_for_bit(self):
+        # Supports of 1-6 entries with repeated elements, given as indices
+        # or Octonions, against tables scaled over nine decades.
+        rng = np.random.default_rng(37)
+        for _ in range(1000):
+            game = PayoffTable(rng.standard_normal((3, 8)) * 10.0 ** rng.uniform(-3, 6))
+            supports = []
+            for p in (1, 2, 3):
+                indices = rng.choice(PLAYER_BASIS[p], size=rng.integers(1, 7)).tolist()
+                weights = rng.random(len(indices))
+                supports.append(list(zip(indices, (weights / weights.sum()).tolist())))
+            mixtures = [
+                DiscreteQuantumMixture(
+                    p, [(Octonion.basis(i) if rng.random() < 0.5 else i, w) for i, w in support]
+                )
+                for p, support in zip((1, 2, 3), supports)
+            ]
+            for k in (1, 2, 3):
+                value = expected_payoff_mixture(k, *mixtures, game)
+                assert value.hex() == reference_payoff(k, supports, game).hex()
+
+    def test_rejects_mixtures_out_of_player_order(self):
+        game = builtin_games()["poker_printed"]
+        points = [DiscreteQuantumMixture(p, [(0, 1.0)]) for p in (1, 2, 3)]
+        assert expected_payoff_mixture(1, *points, game) == -2.0
+        for order in itertools.permutations(points):
+            if list(order) != points:
+                with pytest.raises(ValueError, match="players 1, 2 and 3 in order"):
+                    expected_payoff_mixture(1, *order, game)
+        with pytest.raises(ValueError, match="players 1, 2 and 3 in order"):
+            expected_payoff_mixture(1, points[0], points[0], points[2], game)
 
     def test_constant_game(self):
         game = PayoffTable(np.repeat([[2.5], [-1.0], [0.25]], 8, axis=1))

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -607,6 +608,13 @@ class TestMeasure:
         with pytest.raises(ValueError):
             measure(np.zeros(4), ACTION_LABELS2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+    def test_non_finite_vector_rejected_without_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                measure([bad, 0, 0, 0], ACTION_LABELS2)
+
     def test_identity_game_measures_all_no_flip(self):
         dist = oracle_distribution3(1, 0, 1, 0, 1, 0)
         assert dist.prob("NNN") == pytest.approx(1.0, abs=1e-12)
@@ -727,6 +735,13 @@ class TestOutcomeDistribution:
             OutcomeDistribution(["a", "b"], [0.7, 0.7])
         with pytest.raises(ValueError):
             OutcomeDistribution(["a"], [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "probs", [[np.nan] * 4, [1.0, np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]]
+    )
+    def test_non_finite_probabilities_rejected(self, probs):
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            OutcomeDistribution(ACTION_LABELS2, probs)
 
     def test_lookup_and_deviation(self):
         d1 = OutcomeDistribution(["a", "b"], [0.25, 0.75])
