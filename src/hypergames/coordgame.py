@@ -25,7 +25,6 @@ from .hypercomplex import (
     coordinate_last,
     gather_mul,
     gather_table,
-    oct_mul,
     sum_steps,
 )
 from .qstate import (
@@ -48,12 +47,9 @@ from .records import check_record
 
 # Octonion basis index -> outcome label.  Index 0 is the real unit.
 OUTCOME_OF_INDEX = ("NNN", "FFF", "NFF", "FFN", "FNN", "FNF", "NFN", "NNF")
-INDEX_OF_OUTCOME = {label: k for k, label in enumerate(OUTCOME_OF_INDEX)}
-# Basis index of each ACTION_LABELS3 entry: indexing an index-ordered
-# trailing axis with it puts the columns in label order.
-LABEL_ORDER = np.array([INDEX_OF_OUTCOME[label] for label in ACTION_LABELS3])
 
-# Basis indices that may appear as a pure basis strategy, per player.
+# Basis indices that may appear as a pure basis strategy, per player: the
+# order of a strategy's four coordinates in the closed forms.
 PLAYER_BASIS = {p: (0,) + SUBALGEBRA_UNITS[p] for p in (1, 2, 3)}
 
 # Outcome indices read off the g products and off the h products.
@@ -92,10 +88,10 @@ _ROUTE_TABLES = (
     ),
     (_sign_flipped(_FIRST, left=(0,)), _stacked_halves(_H_OUTPUTS), _H_OUTPUTS),
 )
-# gather_mul's rows in _theorem1_probs: s, t, u; the 11 scratch rows, the
-# first product, the halves pair and the term; the pair as one row; the
-# probabilities in ACTION_LABELS3 order.
-_FIRST_ROWS, _PAIR, _TERM, _PAIR_ROW, _PROB_ROWS = 24, (32, 33), 34, 35, 36
+# gather_mul's rows in _theorem1_probs: the coordinates of s, t and u; the
+# 11 scratch rows, the first product, the halves pair and the term; the pair
+# as one row; the probabilities in ACTION_LABELS3 order.
+_FIRST_ROWS, _PAIR, _TERM, _PAIR_ROW, _PROB_ROWS = 12, (20, 21), 22, 23, 24
 
 
 def _closed_form_plan():
@@ -105,19 +101,22 @@ def _closed_form_plan():
     of its outputs, so each route forms only those: their rows of the first
     product, each the sum of two products s_i t_j.  The second products read
     the sign each row is held with (sum_steps) into their terms' signs, and
-    their own held signs vanish in the square.
+    their own held signs vanish in the square.  A factor's rows are its
+    coordinates, so each basis index of s, t and u becomes its position in
+    the player's PLAYER_BASIS.
     """
+    s, t, u = (PLAYER_BASIS[p].index for p in (1, 2, 3))
     plan = []
     for first, second, outputs in _ROUTE_TABLES:
         held = {}
         for k in sorted(set(second[0].ravel().tolist())):
-            terms = [(x, 8 + y, s) for x, y, s in zip(*(part[:, k].tolist() for part in first))]
+            terms = [(s(x), 4 + t(y), z) for x, y, z in zip(*(part[:, k].tolist() for part in first))]
             steps, held[k] = sum_steps(terms, _FIRST_ROWS + k, _TERM)
             plan += steps
         for k, index in enumerate(outputs):
             for half, acc in enumerate(_PAIR):
                 a, b, sign = (part[:, k, half].tolist() for part in second)
-                terms = [(_FIRST_ROWS + x, 16 + y, s * held[x]) for x, y, s in zip(a, b, sign)]
+                terms = [(_FIRST_ROWS + x, 8 + u(y), z * held[x]) for x, y, z in zip(a, b, sign)]
                 plan += sum_steps(terms, acc, _TERM)[0]
             column = _PROB_ROWS + ACTION_LABELS3.index(OUTCOME_OF_INDEX[index])
             plan += [(np.multiply, _PAIR_ROW, _PAIR_ROW, _PAIR_ROW), (np.add, *_PAIR, column)]
@@ -126,23 +125,24 @@ def _closed_form_plan():
 
 _CLOSED_FORM_PLAN = _closed_form_plan()
 # The 16-term product of player 1's subalgebra {1, i1, i2, i4}, the
-# quaternions {1, i, j, k}, with rows 1, j, k, i in ACTION_LABELS2 order.
-_QUATERNION_PLAN = compile_rows(gather_table(PLAYER_BASIS[1], PLAYER_BASIS[1], (0, 2, 4, 1)))
+# quaternions {1, i, j, k}, on each factor's four coordinates, with rows 1,
+# j, k, i in ACTION_LABELS2 order.
+_QUATERNION_PLAN = compile_rows(
+    gather_table(PLAYER_BASIS[1], PLAYER_BASIS[1], (0, 2, 4, 1)), PLAYER_BASIS[1], PLAYER_BASIS[1])
 
 
 def _embed(player, A, B):
     """Embedded coefficients, shape (..., 8), of stacked strategy pairs.
 
     Stored coordinate-first, so each coordinate is one contiguous array; the
-    support rows of each block are copied out of its embedding buffer.
+    four coordinates of each block are scattered into PLAYER_BASIS[player].
     """
-    if player not in SUBALGEBRA_UNITS:
+    if player not in PLAYER_BASIS:
         raise ValueError("player must be 1, 2, or 3, got %r" % (player,))
-    shape, _, blocks = _embedded_blocks(_WIDTH3, [(A, B)], [player], [_TWIST3])
+    shape, _, blocks = _embedded_blocks(_WIDTH3, [(A, B)], [_TWIST3])
     c = np.zeros((8, math.prod(shape)))
     for factors, cols in blocks:
-        for k in PLAYER_BASIS[player]:
-            c[k, cols] = factors[0, k]
+        c[list(PLAYER_BASIS[player]), cols] = factors[0]
     return coordinate_last(c.reshape((8,) + shape))
 
 
@@ -160,35 +160,33 @@ def _strategy_pair(c):
     return c[..., 0] + 1j * c[..., 1], b0 + 1j * b1
 
 
-def _embedded_blocks(width, pairs, players, twists):
+def _embedded_blocks(width, pairs, twists):
     """The batch shape of strategy pairs, checked once, the most profiles in
-    a block, and per in_blocks block (factors, columns): the (players, 8, n)
-    embeddings, A on coordinates 0 and 1 and B times the twist on the
-    player's other two units.  factors is a view of block_buffer slot 0:
-    only the players' support rows are written, and no product reads the
-    others.  A pair that does not span the leading axis is the same arrays
-    in every block, whose columns prefix the first's: it is embedded once.
-    indifference_check's 16 basis pairs are such pairs; embedding them in
-    every block took perfbench's `equilibrium` operation from 1.08-1.10 ms
-    to 1.16-1.17 ms (p50, 2-vCPU Xeon, numpy 2.4.6)."""
+    a block, and per in_blocks block (factors, columns): the (pairs, 4, n)
+    coordinates in PLAYER_BASIS order, whichever the player, A on the first
+    two and B times the twist on the other two.  factors is a view of
+    block_buffer slot 0.  A pair that does not span the leading axis is the
+    same arrays in every block, whose columns prefix the first's: it is
+    embedded once.  indifference_check's 16 basis pairs are such pairs;
+    embedding them in every block took perfbench's `equilibrium` operation
+    from 1.08-1.10 ms to 1.16-1.17 ms (p50, 2-vCPU Xeon, numpy 2.4.6)."""
     pairs = [tuple(np.asarray(z, dtype=complex) for z in pair) for pair in pairs]
     check_unit_pairs(*pairs)
     shape, largest, blocks = in_blocks(width, *(z for pair in pairs for z in pair))
-    buffer = block_buffer(0, (len(pairs), 8), largest, width)
+    buffer = block_buffer(0, (len(pairs), 4), largest, width)
 
     def embedded():
         previous = [None] * (2 * len(pairs))
         for block, block_shape, cols in blocks:
             factors = buffer[..., : cols.stop - cols.start]
-            for k, (c, player, w) in enumerate(zip(factors, players, twists)):
+            for k, (c, w) in enumerate(zip(factors, twists)):
                 A, B = block[2 * k], block[2 * k + 1]
                 if A is previous[2 * k] and B is previous[2 * k + 1]:
                     continue
-                _, mid, high = SUBALGEBRA_UNITS[player]
-                c = c.reshape((8,) + block_shape)
+                c = c.reshape((4,) + block_shape)
                 c[0], c[1] = A.real, A.imag
-                c[mid] = w.real * B.real - w.imag * B.imag
-                c[high] = w.imag * B.real + w.real * B.imag
+                c[2] = w.real * B.real - w.imag * B.imag
+                c[3] = w.imag * B.real + w.real * B.imag
             previous = block
             yield factors, cols
 
@@ -210,7 +208,7 @@ def embed3(player, A, B):
 
 def _theorem1_probs(shape, largest, blocks):
     """Outcome probabilities, shape + (8,) in ACTION_LABELS3 order, of
-    blocks of embedded factors s, t, u (see _embedded_blocks).
+    blocks of factors s, t, u, each its four coordinates (_embedded_blocks).
 
     Of a player's embedding o00, the sign variant o10 negates the real
     coefficient and o01 the i1 coefficient.  Half of the outcomes read off
@@ -238,10 +236,11 @@ def theorem1_distribution(s, t, u):
 
     Takes the Octonion that embed3 returns for each of players 1, 2 and 3,
     and evaluates the eight outcome probabilities purely by octonion
-    arithmetic: a batch of one through the kernel of theorem1_probs_batch.
+    arithmetic: their coordinates, a batch of one through the kernel of
+    theorem1_probs_batch.
     """
-    embedded = np.stack([o.c for o in (s, t, u)])[..., np.newaxis]
-    return OutcomeDistribution(ACTION_LABELS3, _theorem1_probs((1,), 1, [(embedded, slice(0, 1))])[0])
+    coords = np.stack([o.c[list(PLAYER_BASIS[p])] for p, o in zip((1, 2, 3), (s, t, u))])[..., None]
+    return OutcomeDistribution(ACTION_LABELS3, _theorem1_probs((1,), 1, [(coords, slice(0, 1))])[0])
 
 
 def theorem1_probs_batch(A, B, P, Q, E, F):
@@ -251,7 +250,7 @@ def theorem1_probs_batch(A, B, P, Q, E, F):
     order, matching qstate.oracle_probs3_batch for easy comparison.
     """
     pairs = ((A, B), (P, Q), (E, F))
-    return _theorem1_probs(*_embedded_blocks(_WIDTH3, pairs, (1, 2, 3), [_TWIST3] * 3))
+    return _theorem1_probs(*_embedded_blocks(_WIDTH3, pairs, [_TWIST3] * 3))
 
 
 def basis_slot(o, player):
@@ -279,12 +278,12 @@ def basis_slot(o, player):
 def _basis_outcomes():
     """Outcome distributions of all 64 basis-strategy triples.
 
-    One batched product (s t) u over every triple, shape (4, 4, 4, 8): axis
-    p - 1 follows PLAYER_BASIS[p] and the columns follow ACTION_LABELS3.
+    The closed-form kernel on one block of every triple, shape (4, 4, 4, 8):
+    basis slot k's coordinates are row k of np.eye(4), axis p - 1 follows
+    PLAYER_BASIS[p] and the columns follow ACTION_LABELS3.
     """
-    s, t, u = (np.eye(8)[list(PLAYER_BASIS[p])] for p in (1, 2, 3))
-    w = oct_mul(oct_mul(s[:, None, None], t[None, :, None]), u[None, None, :])
-    return w[..., LABEL_ORDER] ** 2
+    coords = np.eye(4)[np.indices((4, 4, 4)).reshape(3, 64)].transpose(0, 2, 1)
+    return _theorem1_probs((4, 4, 4), 64, [(coords, slice(0, 64))])
 
 
 BASIS_OUTCOMES = _basis_outcomes()
@@ -336,7 +335,7 @@ def landsburg_probs_batch(A, B, P, Q):
     """
     pairs = ((A, B), (P, np.conj(Q)))
     width = _CLOSED_ENTRIES // 4
-    shape, largest, blocks = _embedded_blocks(width, pairs, (1, 1), (ETA2, -ETA2))
+    shape, largest, blocks = _embedded_blocks(width, pairs, (ETA2, -ETA2))
     probs = page_rows((4, math.prod(shape)))
     term = block_buffer(1, (1,), largest, width)
     for (left, right), cols in blocks:

@@ -111,16 +111,16 @@ def sum_steps(terms, out, term):
     return steps, held
 
 
-def compile_rows(table):
+def compile_rows(table, left=BASIS, right=BASIS):
     """A signed-gather table as the plan gather_mul runs on registers a, b,
-    out and (term,): rows 0 to 7 and 8 to 15 are a's and b's, then one
-    output per column of the table, each its terms' sum in table order,
-    then the term row."""
+    out and (term,): a's rows are the coordinates left lists, in its order,
+    and b's those right lists, then one output per column of the table,
+    each its terms' sum in table order, then the term row."""
     i, j, sign = (np.asarray(part).tolist() for part in table)
-    plan = []
+    plan, first = [], len(left) + len(right)
     for k in range(len(i[0])):
-        terms = [(a[k], 8 + b[k], s[k]) for a, b, s in zip(i, j, sign)]
-        steps, held = sum_steps(terms, 16 + k, 16 + len(i[0]))
+        terms = [(left.index(a[k]), len(left) + right.index(b[k]), s[k]) for a, b, s in zip(i, j, sign)]
+        steps, held = sum_steps(terms, first + k, first + len(i[0]))
         if held < 0:
             raise ValueError("output %d would end negated" % k)
         plan += steps

@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from hypergames import coordgame, qstate
 from hypergames.coordgame import (
     _ROUTE_TABLES,
-    INDEX_OF_OUTCOME,
-    LABEL_ORDER,
     OUTCOME_OF_INDEX,
     PLAYER_BASIS,
     _embed,
@@ -49,6 +47,10 @@ from hypergames.qstate import (
 )
 
 ALLOWED = {p: (0,) + SUBALGEBRA_UNITS[p] for p in (1, 2, 3)}
+INDEX_OF_OUTCOME = {label: k for k, label in enumerate(OUTCOME_OF_INDEX)}
+# Basis index of each ACTION_LABELS3 entry: indexing an index-ordered
+# trailing axis with it puts the columns in label order.
+LABEL_ORDER = np.array([INDEX_OF_OUTCOME[label] for label in ACTION_LABELS3])
 
 
 def unit_pairs(rng, n):
@@ -293,9 +295,9 @@ class TestBufferContract:
         page = qstate.PAGE // 8  # each kept slot's storage holds one page more
         for kernel, oracle, arity, slot_sizes in (
             (theorem1_probs_batch, oracle_probs3_batch, 6,
-             {0: 24 * width3 + page, 1: 11 * width3 + page}),
+             {0: 12 * width3 + page, 1: 11 * width3 + page}),
             (landsburg_probs_batch, oracle_probs2_batch, 4,
-             {0: 16 * width2 + page, 1: width2 + page}),
+             {0: 8 * width2 + page, 1: width2 + page}),
         ):
             width = width3 if arity == 6 else width2
             args = [z.reshape(2, 3 * width) for _ in range(arity // 2)
@@ -624,15 +626,15 @@ class TestSharedProductPlan:
     def test_plan_shape(self):
         plan = coordgame._CLOSED_FORM_PLAN
         assert {ufunc for ufunc, *_ in plan} == {np.multiply, np.add, np.subtract}
-        # The 16 products s_i t_j (s on rows 0-7, t on 8-15) are each formed
-        # once.  Each row of the first product (rows 24-31) sums two: the
-        # first is formed in the row, the second folded in by one add or
-        # subtract.
-        first = [(x, y, out) for ufunc, x, y, out in plan if ufunc is np.multiply and y < 16]
+        # The 16 products s_i t_j (s's four coordinates on rows 0-3, t's on
+        # 4-7, u's on 8-11) are each formed once.  Each row of the first
+        # product (rows 12-19) sums two: the first is formed in the row, the
+        # second folded in by one add or subtract.
+        first = [(x, y, out) for ufunc, x, y, out in plan if ufunc is np.multiply and y < 8]
         assert len(first) == len({(x, y) for x, y, _ in first}) == 16
-        assert all(x < 8 <= y for x, y, _ in first)
-        writes = [out for ufunc, x, y, out in plan if 24 <= out < 32]
-        assert sorted(writes) == sorted(list(range(24, 32)) * 2)
+        assert all(x < 4 <= y for x, y, _ in first)
+        writes = [out for ufunc, x, y, out in plan if 12 <= out < 20]
+        assert sorted(writes) == sorted(list(range(12, 20)) * 2)
         # 48 products, 24 folds, and per output one square of the halves
         # pair and one add.
         assert len(plan) == 48 + 24 + 8 + 8
@@ -747,10 +749,10 @@ class TestRowsOnPages:
             assert a.base.nbytes == math.prod(shape[:-1]) * pitch + qstate.PAGE
 
 
-def nan_between_blocks(width, pairs, players, twists):
+def nan_between_blocks(width, pairs, twists):
     """The factors _embedded_blocks yields for each block, copied, with every
     embedded row set to NaN after each block is read."""
-    _, _, blocks = coordgame._embedded_blocks(width, pairs, players, twists)
+    _, _, blocks = coordgame._embedded_blocks(width, pairs, twists)
     seen = []
     for factors, cols in blocks:
         seen.append((factors.copy(), cols))
@@ -790,11 +792,11 @@ class TestEmbeddedOnce:
         assert np.array_equal(got, landsburg_probs_batch(a, b, *wide[2:]))
         assert np.max(np.abs(got - oracle_probs2_batch(a, b, p, q))) < 1e-10
 
-    @pytest.mark.parametrize("width, players, twists", [
-        (coordgame._WIDTH3, (1, 2, 3), [coordgame._TWIST3] * 3),
-        (coordgame._CLOSED_ENTRIES // 4, (1, 1), (ETA2, -ETA2)),
+    @pytest.mark.parametrize("width, twists", [
+        (coordgame._WIDTH3, [coordgame._TWIST3] * 3),
+        (coordgame._CLOSED_ENTRIES // 4, (ETA2, -ETA2)),
     ])
-    def test_only_non_spanning_pairs_are_reused(self, width, players, twists):
+    def test_only_non_spanning_pairs_are_reused(self, width, twists):
         # Between blocks every embedded row is overwritten with NaN: a pair
         # that spans the leading axis is embedded again, a reused one is not,
         # on the full blocks, the shorter last block and wide rows alike.
@@ -802,14 +804,14 @@ class TestEmbeddedOnce:
         rows = 3 * width // 16 + 5
         for spanning, shape, block_rows in (((rows, 1), (16,), (width // 16,) * 3 + (5,)),
                                             ((3, 1), (width + 7,), (1, 1, 1))):
-            pairs = [su2_pairs(rng, spanning)] + [su2_pairs(rng, shape)] * (len(players) - 1)
-            blocks = nan_between_blocks(width, pairs, players, twists)
+            pairs = [su2_pairs(rng, spanning)] + [su2_pairs(rng, shape)] * (len(twists) - 1)
+            blocks = nan_between_blocks(width, pairs, twists)
             row = math.prod(shape)
             assert tuple((cols.stop - cols.start) // row for _, cols in blocks) == block_rows
             for n, (factors, _) in enumerate(blocks):
-                embedded = [f[list(PLAYER_BASIS[p])] for f, p in zip(factors, players)]
-                assert np.isfinite(embedded[0]).all()
-                for reused in embedded[1:]:
+                assert factors.shape[:2] == (len(twists), 4)
+                assert np.isfinite(factors[0]).all()
+                for reused in factors[1:]:
                     assert np.isnan(reused).all() if n else np.isfinite(reused).all()
 
     def test_pair_with_one_spanning_array_is_embedded_every_block(self):

@@ -404,8 +404,9 @@ class TestQuaternionOctonionEmbedding:
         embedded = oct_mul(quat_to_oct(a, player), quat_to_oct(b, player))
         npt.assert_allclose(embedded.c, direct.c, atol=1e-12)
         # The two-player closed form's 16-term table on player 1's
-        # subalgebra, whose rows are the coordinates 1, j, k and i.
-        ca, cb = (quat_to_oct(q, 1).c[:, np.newaxis] for q in (a, b))
+        # subalgebra, read on each factor's four coordinates there, whose
+        # rows are the coordinates 1, j, k and i.
+        ca, cb = (quat_to_oct(q, 1).c[[0, 1, 2, 4], np.newaxis] for q in (a, b))
         gathered = run_plan(_QUATERNION_PLAN, ca, cb, 4)[:, 0]
         npt.assert_allclose(gathered, quat_mul(a, b).coeffs()[[0, 2, 3, 1]], atol=1e-12)
 

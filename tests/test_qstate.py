@@ -496,8 +496,8 @@ class TestBlockBuffer:
     def test_kernels_share_the_slots(self):
         # The four sweep kernels and _embed, on batches wider than every
         # block, keep one set of slots, each as large as its largest user:
-        # slot 0 the 2-player embedding (2, 8, 8192), 1 MiB, which also
-        # holds either oracle's three blocks of complex rows; slot 1 the
+        # slot 0 either oracle's three blocks of complex rows, 768 KiB, which
+        # also holds the 2-player coordinates (2, 4, 8192); slot 1 the
         # 3-player scratch, the first product, the halves pair and the term
         # row, 11 rows of 4096, 352 KiB, which also holds the 2-player term.
         # Their rows start on page boundaries, so each holds one page more.
@@ -514,7 +514,7 @@ class TestBlockBuffer:
 
         kept = in_new_thread(calls)
         assert {slot: storage.nbytes for slot, storage in kept.items()} == {
-            0: 2**20 + qstate.PAGE, 1: 11 * 2**15 + qstate.PAGE}
+            0: 3 * 2**18 + qstate.PAGE, 1: 11 * 2**15 + qstate.PAGE}
 
 
 class TestOracleBufferContract:
