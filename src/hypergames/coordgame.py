@@ -15,6 +15,7 @@ tables record that correspondence.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .qstate import (
     ETA2,
     SQRT3,
     OutcomeDistribution,
+    UNIT_ATOL,
     SU2Gate,
     batch_of_one,
     block_buffer,
@@ -51,6 +53,14 @@ OUTCOME_OF_INDEX = ("NNN", "FFF", "NFF", "FFN", "FNN", "FNF", "NFN", "NNF")
 # Basis indices that may appear as a pure basis strategy, per player: the
 # order of a strategy's four coordinates in the closed forms.
 PLAYER_BASIS = {p: (0,) + SUBALGEBRA_UNITS[p] for p in (1, 2, 3)}
+
+
+def _player_basis(player):
+    """PLAYER_BASIS[player], once player is checked to be 1, 2 or 3."""
+    if player not in PLAYER_BASIS:
+        raise ValueError("player must be 1, 2, or 3, got %r" % (player,))
+    return PLAYER_BASIS[player]
+
 
 # Outcome indices read off the g products and off the h products.
 _G_OUTPUTS = (0, 1, 3, 7)
@@ -137,12 +147,11 @@ def _embed(player, A, B):
     Stored coordinate-first, so each coordinate is one contiguous array; the
     four coordinates of each block are scattered into PLAYER_BASIS[player].
     """
-    if player not in PLAYER_BASIS:
-        raise ValueError("player must be 1, 2, or 3, got %r" % (player,))
+    basis = list(_player_basis(player))
     shape, _, blocks = _embedded_blocks(_WIDTH3, [(A, B)], [_TWIST3])
     c = np.zeros((8, math.prod(shape)))
     for factors, cols in blocks:
-        c[list(PLAYER_BASIS[player]), cols] = factors[0]
+        c[basis, cols] = factors[0]
     return coordinate_last(c.reshape((8,) + shape))
 
 
@@ -237,9 +246,15 @@ def theorem1_distribution(s, t, u):
     Takes the Octonion that embed3 returns for each of players 1, 2 and 3,
     and evaluates the eight outcome probabilities purely by octonion
     arithmetic: their coordinates, a batch of one through the kernel of
-    theorem1_probs_batch.
+    theorem1_probs_batch.  A factor with a non-zero coefficient off its
+    player's subalgebra, or a squared norm more than UNIT_ATOL from 1,
+    raises ValueError naming the player.
     """
-    coords = np.stack([o.c[list(PLAYER_BASIS[p])] for p, o in zip((1, 2, 3), (s, t, u))])[..., None]
+    coords = np.empty((3, 4, 1))
+    for player, o in enumerate((s, t, u), start=1):
+        c = coords[player - 1, :, 0] = o.c[list(PLAYER_BASIS[player])]
+        if np.delete(o.c, PLAYER_BASIS[player]).any() or not abs(c @ c - 1.0) <= UNIT_ATOL:
+            raise ValueError("player %d's strategy must be a unit octonion in its subalgebra" % player)
     return OutcomeDistribution(ACTION_LABELS3, _theorem1_probs((1,), 1, [(coords, slice(0, 1))])[0])
 
 
@@ -255,10 +270,10 @@ def theorem1_probs_batch(A, B, P, Q, E, F):
 
 def basis_slot(o, player):
     """Position in PLAYER_BASIS[player] of a pure basis-element strategy,
-    given as an Octonion, its 8 coefficients or its basis index; checks the
-    player, a single coefficient 1 and the player's subalgebra."""
-    if player not in PLAYER_BASIS:
-        raise ValueError("player must be 1, 2, or 3, got %r" % (player,))
+    given as an Octonion, its 8 coefficients or its basis index, an integer
+    that is not a bool; checks the player, a single coefficient 1 and the
+    player's subalgebra."""
+    basis = _player_basis(player)
     if isinstance(o, Octonion) or np.ndim(o):
         c = o.c if isinstance(o, Octonion) else np.asarray(o, dtype=float)
         if c.shape != (8,):
@@ -267,12 +282,11 @@ def basis_slot(o, player):
         if hot.size != 1 or not abs(c[hot[0]] - 1.0) <= 1e-12:
             raise ValueError("strategy must be a single basis element with coefficient 1")
         o = hot[0]
-    k = int(o)
-    if k not in PLAYER_BASIS[player]:
-        raise ValueError(
-            "basis element i_%d is not in player %d's subalgebra" % (k, player)
-        )
-    return PLAYER_BASIS[player].index(k)
+    elif not isinstance(o, numbers.Integral) or isinstance(o, bool):
+        raise ValueError("a basis index must be an integer, got %r" % (o,))
+    if o not in basis:
+        raise ValueError("basis element i_%d is not in player %d's subalgebra" % (o, player))
+    return basis.index(o)
 
 
 def _basis_outcomes():

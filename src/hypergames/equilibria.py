@@ -24,13 +24,13 @@ import numpy as np
 
 from .coordgame import (
     BASIS_OUTCOMES,
-    PLAYER_BASIS,
+    _player_basis,
     _slot_grid,
     _strategy_pair,
     basis_slot,
     theorem1_probs_batch,
 )
-from .qstate import _unit_gaussian_rows, outcome_labels
+from .qstate import _unit_gaussian_rows, oracle_probs3_batch, outcome_labels
 from .records import check_record
 
 # Largest payoff magnitude a game file may hold.  Below it a sum of 16
@@ -40,6 +40,8 @@ from .records import check_record
 MAX_PAYOFF = sys.float_info.max / 64
 
 ZERO_SUM_TOL = 1e-9  # how far from 0 an outcome's payoffs may sum and still count as zero-sum
+
+ROUTE_SAMPLES = 16  # random strategy triples of route_check
 
 BUILTIN_GAME_NAMES = ("poker_printed", "poker_zero_sum_corrected", "dilemma_printed")
 
@@ -197,9 +199,7 @@ class DiscreteQuantumMixture:
 
 def special_distribution(player):
     """Quarter weight on each of the player's four basis strategies."""
-    return DiscreteQuantumMixture(
-        player, [(k, 0.25) for k in PLAYER_BASIS[player]]
-    )
+    return DiscreteQuantumMixture(player, [(k, 0.25) for k in _player_basis(player)])
 
 
 def expected_payoff_mixture(k, m1, m2, m3, game):
@@ -276,6 +276,15 @@ def special_payoff_check(k, game):
     )
 
 
+def route_check(tol, rng):
+    """Test the closed form against the state-vector oracle on ROUTE_SAMPLES
+    random strategy triples drawn from rng.  The report's other checks read
+    only the closed form, so a wrong route passes them; this one fails."""
+    flat = [z for _ in range(3) for z in _random_subalgebra_pairs(rng, ROUTE_SAMPLES)]
+    deviation = np.max(np.abs(theorem1_probs_batch(*flat) - oracle_probs3_batch(*flat)))
+    return check_record("octonion closed form vs state vector", ROUTE_SAMPLES, tol, deviation)
+
+
 def classical_pure_scan(game):
     """Pure-strategy Nash profiles of the classical 2x2x2 game.
 
@@ -316,8 +325,9 @@ def equilibrium_report(game, samples, tol, seed):
     """The `equilibrium` report of a three player table.
 
     The quarter-weight mixtures' special payoffs, each player's indifference
-    check over samples seeded draws to tol, the classical pure equilibria,
-    and notes on them and on a violated zero-sum claim.
+    check over samples seeded draws to tol, the closed form against the
+    oracle to tol (route_check, drawn after them), the classical pure
+    equilibria, and notes on them and on a violated zero-sum claim.
     """
     if game.players != 3:
         raise ValueError("equilibrium analysis needs a 3-player game file")
@@ -330,6 +340,7 @@ def equilibrium_report(game, samples, tol, seed):
         )
     rng = np.random.default_rng(seed)
     indifference = [indifference_check(k, game, samples, tol, rng) for k in (1, 2, 3)]
+    route = route_check(tol, rng)
     pure = classical_pure_scan(game)
     notes += [
         "classical pure equilibrium at %s paying (%g, %g, %g)" % ((label,) + payoffs)
@@ -343,6 +354,7 @@ def equilibrium_report(game, samples, tol, seed):
         "seed": int(seed),
         "special_payoffs": [special_payoff_check(k, game) for k in (1, 2, 3)],
         "indifference": indifference,
+        "route": route,
         "classical_pure_equilibria": [
             {"profile": label, "payoffs": list(payoffs)} for label, payoffs in pure
         ],

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypergames import coordgame, qstate
 from hypergames.coordgame import (
     _ROUTE_TABLES,
+    BASIS_OUTCOMES,
     OUTCOME_OF_INDEX,
     PLAYER_BASIS,
     _embed,
@@ -173,6 +174,30 @@ class TestClosedFormDistribution:
         closed = theorem1_distribution(*embedded_triple(a, b, p, q, e, f))
         oracle = oracle_distribution3(a, b, p, q, e, f)
         assert closed.max_deviation(oracle) < 1e-10
+
+    def test_rejects_factors_off_the_subalgebra_or_the_unit_sphere(self):
+        # The kernel reads only each factor's four coordinates, so a factor
+        # off its player's subalgebra or off unit norm would pass unseen.
+        rng = np.random.default_rng(43)
+        s, t, u = embedded_triple(*(z[0] for _ in range(3) for z in unit_pairs(rng, 1)))
+        stray = Octonion(embed3(1, 0.6, 0.8j).c + 0.5 * np.eye(8)[3])  # norm 1.118, i3
+        nan = u.c.copy()
+        nan[4] = np.nan
+        cases = [
+            ((stray, t, u), 1),
+            ((t, s, u), 1),
+            ((s, u, t), 2),
+            ((Octonion(s.c * 1.00001), t, u), 1),
+            ((s, t, Octonion(u.c * 1.00001)), 3),
+            ((s, t, Octonion(nan)), 3),
+        ]
+        for factors, player in cases:
+            with pytest.raises(ValueError, match="player %d's strategy must be a unit" % player):
+                theorem1_distribution(*factors)
+        signed_zero = s.c.copy()
+        signed_zero[3] = -0.0
+        assert same_bits(theorem1_distribution(Octonion(signed_zero), t, u).probs,
+                         theorem1_distribution(s, t, u).probs)
 
 
 def block_edges(n, *widths):
@@ -875,6 +900,15 @@ class TestBasisStrategyReduction:
                     assert dist.max_deviation(closed) < 1e-10
                     assert dist.max_deviation(oracle) < 1e-10
 
+    def test_table_is_the_squared_product_of_each_triple(self):
+        # The corollary: on basis strategies the closed form is the squared
+        # coordinates of the one product (s t) u, read in label order.  The
+        # table is the kernel's output; this pins it to the product.
+        s, t, u = (np.eye(8)[list(PLAYER_BASIS[p])] for p in (1, 2, 3))
+        w = oct_mul(oct_mul(s[:, None, None], t[None, :, None]), u[None, None, :])
+        assert np.array_equal(BASIS_OUTCOMES, w[..., LABEL_ORDER] ** 2)
+        assert same_bits(BASIS_OUTCOMES, w[..., LABEL_ORDER] ** 2)
+
     def test_rejects_foreign_or_malformed_elements(self):
         one = Octonion.basis(0)
         with pytest.raises(ValueError):
@@ -921,7 +955,7 @@ class TestBasisPreimages:
     def test_slot_of_each_form(self):
         for player in (1, 2, 3):
             for slot, k in enumerate(PLAYER_BASIS[player]):
-                for o in (Octonion.basis(k), np.eye(8)[k], list(np.eye(8)[k]), k):
+                for o in (Octonion.basis(k), np.eye(8)[k], list(np.eye(8)[k]), k, np.int64(k)):
                     assert basis_slot(o, player) == slot
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from hypergames import equilibria
+from hypergames.cli import main
 from hypergames.coordgame import (
     BASIS_OUTCOMES,
     PLAYER_BASIS,
@@ -14,6 +16,7 @@ from hypergames.coordgame import (
 )
 from hypergames.equilibria import (
     BUILTIN_GAME_NAMES,
+    ROUTE_SAMPLES,
     DiscreteQuantumMixture,
     PayoffTable,
     _random_subalgebra_pairs,
@@ -21,15 +24,17 @@ from hypergames.equilibria import (
     builtin_games,
     classical_mixed_payoff,
     classical_pure_scan,
+    equilibrium_report,
     expected_payoff_mixture,
     indifference_check,
     load_game_file,
     outcome_labels,
     parse_game_file,
+    route_check,
     special_distribution,
 )
 from hypergames.hypercomplex import Octonion
-from hypergames.qstate import SU2Gate
+from hypergames.qstate import SU2Gate, oracle_probs3_batch
 
 POKER_TABLE = {
     "NNN": (-2, -2, 4),
@@ -239,6 +244,18 @@ class TestMixtures:
     def test_rejects_nan_infinite_and_negative_weights(self, support):
         with pytest.raises(ValueError, match="mixture weights must"):
             DiscreteQuantumMixture(1, support)
+
+    @pytest.mark.parametrize("index", [4.5, "4", True, float("inf"), np.float64(4.0)])
+    def test_rejects_a_basis_index_that_is_not_an_integer(self, index):
+        # int() read 4.5 and "4" as i_4 and True as i_1, and raised
+        # OverflowError on inf.
+        with pytest.raises(ValueError, match="basis index must be an integer"):
+            DiscreteQuantumMixture(1, [(index, 1.0)])
+
+    @pytest.mark.parametrize("player", [0, 4, None])
+    def test_special_distribution_rejects_an_unknown_player(self, player):
+        with pytest.raises(ValueError, match="player must be 1, 2, or 3"):
+            special_distribution(player)
 
 
 def reference_payoff(k, supports, game):
@@ -450,6 +467,40 @@ class TestIndifference:
         a = indifference_check(2, game, 64, 1e-10, rng=1234)
         b = indifference_check(2, game, 64, 1e-10, rng=1234)
         assert a == b
+
+
+class TestRouteCheck:
+    """The equilibrium report compares the closed form with the oracle, so
+    a wrong route fails it."""
+
+    def test_drawn_after_the_indifference_checks(self):
+        game = builtin_games()["poker_printed"]
+        report = equilibrium_report(game, 50, 1e-10, 11)
+        rng = np.random.default_rng(11)
+        assert report["indifference"] == [indifference_check(k, game, 50, 1e-10, rng)
+                                          for k in (1, 2, 3)]
+        assert report["route"] == route_check(1e-10, rng)
+        assert report["route"]["samples"] == ROUTE_SAMPLES == 16
+        assert report["route"]["tolerance"] == 1e-10 and report["route"]["passed"]
+
+    def test_reads_the_oracle_on_the_drawn_triples(self):
+        rng = np.random.default_rng(5)
+        flat = [z for _ in range(3) for z in _random_subalgebra_pairs(rng, ROUTE_SAMPLES)]
+        deviation = np.max(np.abs(theorem1_probs_batch(*flat) - oracle_probs3_batch(*flat)))
+        record = route_check(1e-10, np.random.default_rng(5))
+        assert record["max_deviation"] == deviation < 1e-10
+
+    def test_a_wrong_closed_form_fails_the_report(self, monkeypatch, capsys):
+        # NFF and FFN swapped, as a wrong OUTCOME_OF_INDEX swaps them: every
+        # other check of the report reads only the closed form and passes.
+        right, order = equilibria.theorem1_probs_batch, [0, 1, 2, 6, 4, 5, 3, 7]
+        monkeypatch.setattr(equilibria, "theorem1_probs_batch", lambda *a: right(*a)[..., order])
+        for name, game in builtin_games().items():
+            report = equilibrium_report(game, 50, 1e-10, 0)
+            assert all(r["passed"] for r in report["special_payoffs"] + report["indifference"])
+            assert not report["route"]["passed"]
+            assert main(["equilibrium", name, "--samples", "50"]) == 1
+        capsys.readouterr()
 
 
 class TestClassicalAnalysis:
