@@ -79,9 +79,9 @@ def verify_theorem1(samples=None, seed=0):
 def verify_corollary(samples=None, seed=0):
     """Exhaustive one-hot agreement over all basis-strategy triples.
 
-    The basis reduction is the 64 rows of BASIS_OUTCOMES, the one batched
-    product (s t) u, in itertools.product order of the players' basis
-    slots; the oracle runs once over the same triples' slot gates.
+    The basis reduction is the 64 rows of BASIS_OUTCOMES, the closed-form
+    kernel's output on the basis slots, in itertools.product order of the
+    players' slots; the oracle runs once over the same triples' slot gates.
     """
     del samples  # the case count is fixed by the basis
     tol = TOLERANCES["corollary"]
