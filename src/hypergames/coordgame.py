@@ -56,8 +56,10 @@ PLAYER_BASIS = {p: (0,) + SUBALGEBRA_UNITS[p] for p in (1, 2, 3)}
 
 
 def _player_basis(player):
-    """PLAYER_BASIS[player], once player is checked to be 1, 2 or 3."""
-    if player not in PLAYER_BASIS:
+    """PLAYER_BASIS[player], once player is checked to be the integer 1, 2
+    or 3; True and 2.0 compare equal to players but are not."""
+    integer = isinstance(player, numbers.Integral) and not isinstance(player, bool)
+    if not integer or player not in PLAYER_BASIS:
         raise ValueError("player must be 1, 2, or 3, got %r" % (player,))
     return PLAYER_BASIS[player]
 

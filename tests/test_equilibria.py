@@ -252,7 +252,7 @@ class TestMixtures:
         with pytest.raises(ValueError, match="basis index must be an integer"):
             DiscreteQuantumMixture(1, [(index, 1.0)])
 
-    @pytest.mark.parametrize("player", [0, 4, None])
+    @pytest.mark.parametrize("player", [0, 4, None, True, 2.0])
     def test_special_distribution_rejects_an_unknown_player(self, player):
         with pytest.raises(ValueError, match="player must be 1, 2, or 3"):
             special_distribution(player)
