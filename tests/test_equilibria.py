@@ -247,8 +247,6 @@ class TestMixtures:
 
     @pytest.mark.parametrize("index", [4.5, "4", True, float("inf"), np.float64(4.0)])
     def test_rejects_a_basis_index_that_is_not_an_integer(self, index):
-        # int() read 4.5 and "4" as i_4 and True as i_1, and raised
-        # OverflowError on inf.
         with pytest.raises(ValueError, match="basis index must be an integer"):
             DiscreteQuantumMixture(1, [(index, 1.0)])
 
