@@ -4,7 +4,7 @@ Each player's local SU(2) strategy embeds into a quaternion subalgebra of
 the octonions, after which the outcome distribution of the three player
 entangled game is a fixed quadratic expression in a handful of octonion
 products of sign variants of the embedded strategies, which the kernel
-folds into its tables (_theorem1_probs).  The two player game reduces the
+folds into its terms' signs (_theorem1_probs).  The two player game reduces the
 same way to a single quaternion product.  Everything here is closed-form
 algebra with no state vectors, so the results can be checked against the
 independent simulation route in ``hypergames.qstate``.
@@ -25,7 +25,7 @@ from .hypercomplex import (
     compile_rows,
     coordinate_last,
     gather_mul,
-    gather_table,
+    product_terms,
     sum_steps,
 )
 from .qstate import (
@@ -64,41 +64,16 @@ def _player_basis(player):
     return PLAYER_BASIS[player]
 
 
-# Outcome indices read off the g products and off the h products.
-_G_OUTPUTS = (0, 1, 3, 7)
-_H_OUTPUTS = (2, 4, 5, 6)
 # Player 1's s- = (-Re A, Im A) lies on {0, 1} and s+ = its B part on
 # {2, 4}.  Times player 2's subalgebra they land on these disjoint halves,
 # so one product s t holds both s- t and s+ t.
 _HALVES = ((0, 1, 5, 6), (2, 3, 4, 7))
-
-
-def _sign_flipped(table, left=(), right=()):
-    """The table with the sign of each term on a listed index flipped, as if
-    those coordinates of the left or right factor were negated."""
-    i, j, sign = table
-    return i, j, np.where(np.isin(i, left) != np.isin(j, right), -sign, sign)
-
-
-def _stacked_halves(outputs):
-    """Table of (s t) u restricted to each half of s t, the halves on a new
-    trailing axis of the index arrays."""
-    halves = [gather_table(half, PLAYER_BASIS[3], outputs) for half in _HALVES]
-    return tuple(np.stack(parts, axis=-1) for parts in zip(*halves))
-
-
-# The g and h routes: first-product table, second-product table and the
-# outcome indices read.  The sign variants are folded into the signs: s-
-# negates s's real part, t10 negates t's real part and u01 negates u's
-# coordinate 1.
-_FIRST = gather_table(PLAYER_BASIS[1], PLAYER_BASIS[2])
-_ROUTE_TABLES = (
-    (
-        _sign_flipped(_FIRST, left=(0,), right=(0,)),
-        _sign_flipped(_stacked_halves(_G_OUTPUTS), right=(1,)),
-        _G_OUTPUTS,
-    ),
-    (_sign_flipped(_FIRST, left=(0,)), _stacked_halves(_H_OUTPUTS), _H_OUTPUTS),
+# The g and h routes: the outcome indices each reads, then the coordinates
+# of s, t and u it negates.  s- negates s's real part, t10 negates t's real
+# part and u01 negates u's coordinate 1.
+_ROUTE_VARIANTS = (
+    ((0, 1, 3, 7), (0,), (0,), (1,)),
+    ((2, 4, 5, 6), (0,), (), ()),
 )
 # gather_mul's rows in _theorem1_probs: the coordinates of s, t and u; the
 # 11 scratch rows, the first product, the halves pair and the term; the pair
@@ -106,8 +81,15 @@ _ROUTE_TABLES = (
 _FIRST_ROWS, _PAIR, _TERM, _PAIR_ROW, _PROB_ROWS = 12, (20, 21), 22, 23, 24
 
 
+def _flipped(terms, left=(), right=()):
+    """product_terms with the sign of each term on a listed index flipped,
+    as if those coordinates of the left or right factor were negated."""
+    return [(i, j, -sign if (i in left) != (j in right) else sign) for i, j, sign in terms]
+
+
 def _closed_form_plan():
-    """The gather_mul plan of a block of _theorem1_probs, from _ROUTE_TABLES.
+    """The gather_mul plan of a block of _theorem1_probs, from
+    _ROUTE_VARIANTS, the variants folded into the terms' signs.
 
     Each route's second product reads only four coordinates of s t, those
     of its outputs, so each route forms only those: their rows of the first
@@ -119,16 +101,18 @@ def _closed_form_plan():
     """
     s, t, u = (PLAYER_BASIS[p].index for p in (1, 2, 3))
     plan = []
-    for first, second, outputs in _ROUTE_TABLES:
+    for outputs, neg_s, neg_t, neg_u in _ROUTE_VARIANTS:
+        second = [[_flipped(product_terms(half, PLAYER_BASIS[3], k), right=neg_u)
+                   for half in _HALVES] for k in outputs]
         held = {}
-        for k in sorted(set(second[0].ravel().tolist())):
-            terms = [(s(x), 4 + t(y), z) for x, y, z in zip(*(part[:, k].tolist() for part in first))]
+        for k in sorted({x for halves in second for terms in halves for x, _, _ in terms}):
+            first = _flipped(product_terms(PLAYER_BASIS[1], PLAYER_BASIS[2], k), neg_s, neg_t)
+            terms = [(s(x), 4 + t(y), z) for x, y, z in first]
             steps, held[k] = sum_steps(terms, _FIRST_ROWS + k, _TERM)
             plan += steps
-        for k, index in enumerate(outputs):
-            for half, acc in enumerate(_PAIR):
-                a, b, sign = (part[:, k, half].tolist() for part in second)
-                terms = [(_FIRST_ROWS + x, 8 + u(y), z * held[x]) for x, y, z in zip(a, b, sign)]
+        for index, halves in zip(outputs, second):
+            for acc, terms in zip(_PAIR, halves):
+                terms = [(_FIRST_ROWS + x, 8 + u(y), z * held[x]) for x, y, z in terms]
                 plan += sum_steps(terms, acc, _TERM)[0]
             column = _PROB_ROWS + ACTION_LABELS3.index(OUTCOME_OF_INDEX[index])
             plan += [(np.multiply, _PAIR_ROW, _PAIR_ROW, _PAIR_ROW), (np.add, *_PAIR, column)]
@@ -139,8 +123,7 @@ _CLOSED_FORM_PLAN = _closed_form_plan()
 # The 16-term product of player 1's subalgebra {1, i1, i2, i4}, the
 # quaternions {1, i, j, k}, on each factor's four coordinates, with rows 1,
 # j, k, i in ACTION_LABELS2 order.
-_QUATERNION_PLAN = compile_rows(
-    gather_table(PLAYER_BASIS[1], PLAYER_BASIS[1], (0, 2, 4, 1)), PLAYER_BASIS[1], PLAYER_BASIS[1])
+_QUATERNION_PLAN = compile_rows(PLAYER_BASIS[1], PLAYER_BASIS[1], (0, 2, 4, 1))
 
 
 def _embed(player, A, B):

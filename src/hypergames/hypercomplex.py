@@ -11,18 +11,18 @@ Everything is vectorized: the binary operations accept stacked coefficient
 arrays of shape (..., 8) and broadcast, which keeps large Monte-Carlo sweeps
 out of Python loops.
 
-Products are formed from signed-gather tables derived at import from the
-structure tensor OCT_TENSOR, the one statement of the multiplication rule.
-Of its 512 entries only 64 are non-zero, so a table lists, for each output
-coordinate, just its (left index, right index, sign) terms; restricting the
-left and right supports and the outputs drops more.  Tables are compiled
-once into plans, lists of np.multiply, np.add and np.subtract steps between
-rows, which gather_mul, the one product engine, runs in place.  Each output
-adds its terms one at a time in table order, so the result does not depend
-on the batch shape.  Round to nearest is symmetric, so a plan never negates
-a row: a sum that starts negative is held negated, and the sign is read
-into the steps that use it (sum_steps).  oct_mul is the full-support case;
-the closed forms in coordgame restrict the tables to the players'
+Products are read at import off the structure tensor OCT_TENSOR, the one
+statement of the multiplication rule.  Of its 512 entries only 64 are
+non-zero, so product_terms lists, for one output coordinate, just its
+(left index, right index, sign) terms; restricting the left and right
+supports and the outputs drops more.  The term lists are compiled once into
+plans, lists of np.multiply, np.add and np.subtract steps between rows,
+which gather_mul, the one product engine, runs in place.  Each output adds
+its terms one at a time in list order, so the result does not depend on the
+batch shape.  Round to nearest is symmetric, so a plan never negates a row:
+a sum that starts negative is held negated, and the sign is read into the
+steps that use it (sum_steps).  oct_mul is the full-support case; the
+closed forms in coordgame restrict the products to the players'
 four-coordinate subalgebras, and the two-player quaternion product runs on
 player 1's, {1, i1, i2, i4}.
 """
@@ -65,26 +65,11 @@ OCT_TENSOR = _structure_tensor()
 BASIS = tuple(range(8))
 
 
-def gather_table(left=BASIS, right=BASIS, outputs=BASIS):
-    """Signed-gather table of the product restricted to the given supports.
-
-    Lists the terms a_i b_j of each coordinate k in outputs with i in left,
-    j in right and OCT_TENSOR[i, j, k] non-zero, ordered by the position of
-    i in left, then of j in right.
-    Returns (left index, right index, sign), each of shape (terms,
-    len(outputs)): term-first, then one column per output coordinate.
-    """
-    sub = OCT_TENSOR[np.ix_(left, right, outputs)].transpose(2, 0, 1)
-    k, i, j = np.nonzero(sub)
-    count = np.bincount(k, minlength=len(outputs))
-    if np.any(count != count[0]):
-        raise ValueError("output coordinates have unequal term counts")
-    shape = (len(outputs), count[0])
-    return (
-        np.asarray(left)[i].reshape(shape).T,
-        np.asarray(right)[j].reshape(shape).T,
-        sub[k, i, j].reshape(shape).T,
-    )
+def product_terms(left, right, k):
+    """The terms a_i b_j of coordinate k of the product a b with i in left
+    and j in right, as (i, j, sign) for each non-zero OCT_TENSOR[i, j, k],
+    ordered by the position of i in left, then of j in right."""
+    return [(i, j, OCT_TENSOR[i, j, k]) for i in left for j in right if OCT_TENSOR[i, j, k]]
 
 
 def sum_steps(terms, out, term):
@@ -111,23 +96,24 @@ def sum_steps(terms, out, term):
     return steps, held
 
 
-def compile_rows(table, left=BASIS, right=BASIS):
-    """A signed-gather table as the plan gather_mul runs on registers a, b,
-    out and (term,): a's rows are the coordinates left lists, in its order,
-    and b's those right lists, then one output per column of the table,
-    each its terms' sum in table order, then the term row."""
-    i, j, sign = (np.asarray(part).tolist() for part in table)
+def compile_rows(left=BASIS, right=BASIS, outputs=BASIS):
+    """The plan gather_mul runs on registers a, b, out and (term,) for the
+    product restricted to the given supports: a's rows are the coordinates
+    left lists, in its order, and b's those right lists, then one output row
+    per coordinate outputs lists, each the sum of its product_terms in
+    order, then the term row."""
     plan, first = [], len(left) + len(right)
-    for k in range(len(i[0])):
-        terms = [(left.index(a[k]), len(left) + right.index(b[k]), s[k]) for a, b, s in zip(i, j, sign)]
-        steps, held = sum_steps(terms, first + k, first + len(i[0]))
+    for n, k in enumerate(outputs):
+        terms = [(left.index(i), len(left) + right.index(j), sign)
+                 for i, j, sign in product_terms(left, right, k)]
+        steps, held = sum_steps(terms, first + n, first + len(outputs))
         if held < 0:
             raise ValueError("output %d would end negated" % k)
         plan += steps
     return tuple(plan)
 
 
-_FULL_PLAN = compile_rows(gather_table())
+_FULL_PLAN = compile_rows()
 
 
 def coordinate_first(*coeffs):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from hypergames import coordgame, qstate
 from hypergames.coordgame import (
-    _ROUTE_TABLES,
     BASIS_OUTCOMES,
     OUTCOME_OF_INDEX,
     PLAYER_BASIS,
@@ -31,7 +30,6 @@ from hypergames.hypercomplex import (
     SUBALGEBRA_UNITS,
     Octonion,
     coordinate_first,
-    gather_table,
     oct_mul,
 )
 from hypergames.qstate import (
@@ -450,6 +448,37 @@ class TestSparseKernel:
         landsburg_probs_batch(1, 0, 0, np.sqrt(1 + 5e-10))
 
 
+def reference_table(left, right, outputs):
+    """The terms a_i b_j of each output coordinate k, read off OCT_TENSOR:
+    (i, j, sign) arrays of shape (terms, len(outputs)), ordered by the
+    position of i in left, then of j in right."""
+    columns = [[(i, j, OCT_TENSOR[i, j, k]) for i in left for j in right if OCT_TENSOR[i, j, k]]
+               for k in outputs]
+    i, j, sign = np.array(columns).T
+    return i.astype(int), j.astype(int), sign
+
+
+FULL_TABLE = reference_table(range(8), range(8), range(8))
+# The g and h routes as stated: the outcome indices each reads, then the
+# coordinates of s, t and u it negates.  s- negates Re A, s's coordinate 0;
+# t10 negates t's real part, and u01 negates u's coordinate 1.
+STATED_ROUTES = (((0, 1, 3, 7), (0,), (0,), (1,)), ((2, 4, 5, 6), (0,), (), ()))
+
+
+def negated(c, rows):
+    """A copy of coordinate-first c with the listed coordinates negated."""
+    c = c.copy()
+    c[list(rows)] *= -1.0
+    return c
+
+
+def restricted(c, rows):
+    """Coordinate-first c with every coordinate but the listed ones zero."""
+    kept = np.zeros_like(c)
+    kept[list(rows)] = c[list(rows)]
+    return kept
+
+
 def term_at_a_time_mul(a, b, table):
     """Reference gather product: one gathered (lead + batch) block per term,
     signed, added in table order."""
@@ -466,15 +495,25 @@ def term_at_a_time_mul(a, b, table):
 
 
 def term_at_a_time_theorem1(s, t, u):
-    """The closed-form kernel over term_at_a_time_mul, on the raw tables."""
+    """The closed form as stated, over term_at_a_time_mul on FULL_TABLE.
+
+    Outcome k of a route is the sum of the squares of coordinate k of
+    (s- t') u' and (s+ t') u': s- is s's {0, 1} part and s+ its {2, 4} part,
+    and s, t and u take the route's negations (STATED_ROUTES).  The terms
+    off the players' supports are exact zeros, so every bit is the
+    kernel's.
+    """
     s, t, u = coordinate_first(s, t, u)
-    routes, outputs = [], ()
-    for first, second, read in _ROUTE_TABLES:
-        halves = term_at_a_time_mul(term_at_a_time_mul(s, t, first), u, second)
-        routes.append(halves[:, 0] ** 2 + halves[:, 1] ** 2)
-        outputs += read
-    columns = [outputs.index(k) for k in LABEL_ORDER]
-    return np.moveaxis(np.concatenate(routes)[columns], 0, -1)
+    probs = np.empty((8,) + np.broadcast_shapes(s.shape[1:], t.shape[1:], u.shape[1:]))
+    for outputs, *flips in STATED_ROUTES:
+        s_, t_, u_ = (negated(c, rows) for c, rows in zip((s, t, u), flips))
+        minus, plus = (
+            term_at_a_time_mul(term_at_a_time_mul(restricted(s_, part), t_, FULL_TABLE), u_, FULL_TABLE)
+            for part in ((0, 1), (2, 4))
+        )
+        for k in outputs:
+            probs[k] = minus[k] ** 2 + plus[k] ** 2
+    return np.moveaxis(probs[LABEL_ORDER], 0, -1)
 
 
 def same_bits(x, y):
@@ -535,7 +574,7 @@ class TestRowWiseProductIsTermAtATime:
         ]
         for a, b in cases:
             ca, cb = coordinate_first(a, b)
-            expected = np.moveaxis(term_at_a_time_mul(ca, cb, gather_table()), 0, -1)
+            expected = np.moveaxis(term_at_a_time_mul(ca, cb, FULL_TABLE), 0, -1)
             assert same_bits(oct_mul(a, b), expected)
 
 
@@ -571,10 +610,21 @@ def reference_gather_mul(a, b, table, out, term):
     return out
 
 
+def halves_table(outputs):
+    """reference_table of (s t) u restricted to each half of s t, the halves
+    on a new trailing axis.  s- t lies on (0, 1, 5, 6) and s+ t on
+    (2, 3, 4, 7)."""
+    halves = [reference_table(half, ALLOWED[3], outputs) for half in ((0, 1, 5, 6), (2, 3, 4, 7))]
+    return tuple(np.stack(parts, axis=-1) for parts in zip(*halves))
+
+
+# Per route of STATED_ROUTES: the negated coordinates of s, t and u, both
+# products' rows and the probability columns written.
 REFERENCE_ROUTES = tuple(
-    (reference_compile_rows(first), reference_compile_rows(second),
+    (flips, reference_compile_rows(reference_table(ALLOWED[1], ALLOWED[2], range(8))),
+     reference_compile_rows(halves_table(outputs)),
      [ACTION_LABELS3.index(OUTCOME_OF_INDEX[k]) for k in outputs])
-    for first, second, outputs in _ROUTE_TABLES
+    for outputs, *flips in STATED_ROUTES
 )
 
 
@@ -600,9 +650,10 @@ def reference_theorem1(*args):
     n = s.shape[1]
     probs = np.empty((8, n))
     first, halves, term = np.empty((8, n)), np.empty((4, 2, n)), np.empty(n)
-    for first_rows, second_rows, columns in REFERENCE_ROUTES:
-        reference_gather_mul(s, t, first_rows, first, term)
-        reference_gather_mul(first, u, second_rows, halves, term)
+    for flips, first_rows, second_rows, columns in REFERENCE_ROUTES:
+        s_, t_, u_ = (negated(c, rows) for c, rows in zip((s, t, u), flips))
+        reference_gather_mul(s_, t_, first_rows, first, term)
+        reference_gather_mul(first, u_, second_rows, halves, term)
         np.square(halves, out=halves)
         for k, column in enumerate(columns):
             np.add(halves[k, 0], halves[k, 1], out=probs[column])
@@ -665,11 +716,15 @@ class TestSharedProductPlan:
         assert len(plan) == 48 + 24 + 8 + 8
 
     def test_routes_read_disjoint_halves_of_the_first_product(self):
-        # So one product s t holds the rows both routes read.
-        read = [set(second[0].ravel().tolist()) for _, second, _ in _ROUTE_TABLES]
-        assert read == [{0, 1, 3, 7}, {2, 4, 5, 6}]
-        first_g, first_h = (first for first, _, _ in _ROUTE_TABLES)
-        assert np.array_equal(first_g[:2], first_h[:2])
+        # So one product s t holds the rows both routes read: g, the first
+        # half of the plan, forms and reads rows 0, 1, 3 and 7 of it (plan
+        # rows 12-19), h rows 2, 4, 5 and 6.
+        plan = coordgame._CLOSED_FORM_PLAN
+        g, h = plan[: len(plan) // 2], plan[len(plan) // 2 :]
+        for steps, rows in ((g, {0, 1, 3, 7}), (h, {2, 4, 5, 6})):
+            formed = {out - 12 for _, _, _, out in steps if 12 <= out < 20}
+            read = {x - 12 for ufunc, x, _, _ in steps if ufunc is np.multiply and 12 <= x < 20}
+            assert formed == read == rows
 
 
 def buffer_rows(buffer):

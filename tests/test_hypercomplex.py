@@ -12,10 +12,10 @@ from hypergames.hypercomplex import (
     Octonion,
     compile_rows,
     gather_mul,
-    gather_table,
     oct_conj,
     oct_mul,
     oct_norm,
+    product_terms,
 )
 
 
@@ -273,8 +273,8 @@ class TestOctonionAlgebra:
 
 
 class TestGatherTables:
-    """oct_mul reads the multiplication rule off tables derived from OCT_TENSOR;
-    the dense einsum over the whole tensor is the reference."""
+    """oct_mul reads the multiplication rule off term lists read from
+    OCT_TENSOR; the dense einsum over the whole tensor is the reference."""
 
     @staticmethod
     def dense(a, b):
@@ -302,38 +302,35 @@ class TestGatherTables:
         assert isinstance(product, Octonion)
         npt.assert_allclose(product.c, self.dense(x.c, y.c), rtol=1e-15)
 
-    def test_restricted_table_lists_exactly_the_nonzero_terms(self):
-        left, right, outputs = (0, 1, 2, 4), (0, 1, 5, 6), (2, 4, 5, 6)
-        i, j, sign = gather_table(left, right, outputs)
-        expected = {
-            (a, b, k, OCT_TENSOR[a, b, k])
-            for a in left
-            for b in right
-            for k in outputs
-            if OCT_TENSOR[a, b, k]
-        }
-        listed = {
-            (i[t, c], j[t, c], outputs[c], sign[t, c])
-            for t in range(i.shape[0])
-            for c in range(len(outputs))
-        }
-        assert listed == expected and len(expected) == i.size
+    def test_product_terms_lists_exactly_the_nonzero_terms_in_order(self):
+        # Any order of the supports: the terms follow it, left first.
+        left, right = (4, 0, 2, 1), (6, 0, 1, 5)
+        for k in range(8):
+            terms = product_terms(left, right, k)
+            nonzero = {
+                (a, b, OCT_TENSOR[a, b, k])
+                for a, b in zip(*np.nonzero(OCT_TENSOR[:, :, k]))
+                if a in left and b in right
+            }
+            assert set(terms) == nonzero and len(terms) == len(nonzero) == 2
+            positions = [(left.index(a), right.index(b)) for a, b, _ in terms]
+            assert positions == sorted(positions)
+        assert sum(len(product_terms(range(8), range(8), k)) for k in range(8)) == 64
 
     def test_restricted_product_reads_only_its_supports(self):
         rng = np.random.default_rng(53)
         a, b = rng.standard_normal((2, 8, 10))
-        table = compile_rows(gather_table((0, 1, 2, 4), (0, 1, 5, 6), (3, 7)))
-        junk_a, junk_b = a.copy(), b.copy()
-        junk_a[[3, 5, 6, 7]] = np.nan
-        junk_b[[2, 3, 4, 7]] = np.nan
-        npt.assert_array_equal(
-            run_plan(table, junk_a, junk_b, 2), run_plan(table, a, b, 2)
-        )
+        left, right, outputs = (0, 1, 2, 4), (0, 1, 5, 6), (3, 7)
+        plan = compile_rows(left, right, outputs)
+        # a's four rows, b's four, the two outputs and the term row.
+        assert {n for step in plan for n in step[1:]} <= set(range(11))
         keep_a, keep_b = np.zeros_like(a), np.zeros_like(b)
-        keep_a[[0, 1, 2, 4]] = a[[0, 1, 2, 4]]
-        keep_b[[0, 1, 5, 6]] = b[[0, 1, 5, 6]]
+        keep_a[list(left)] = a[list(left)]
+        keep_b[list(right)] = b[list(right)]
         full = self.dense(keep_a.T, keep_b.T)
-        npt.assert_allclose(run_plan(table, a, b, 2), full[:, [3, 7]].T, rtol=1e-15)
+        npt.assert_allclose(
+            run_plan(plan, a[list(left)], b[list(right)], 2), full[:, list(outputs)].T, rtol=1e-15
+        )
 
 
 class TestQuaternion:
