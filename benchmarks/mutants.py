@@ -46,6 +46,10 @@ MUTANTS = (
     ("_TWIST3 = e^(i pi/3)", "coordgame.py",
      "_TWIST3 = complex(SQRT3 / 2.0, 0.5)", "_TWIST3 = complex(0.5, SQRT3 / 2.0)"),
     ("Fano (5, 6, 1) -> (6, 5, 1)", "hypercomplex.py", "    (5, 6, 1),\n", "    (6, 5, 1),\n"),
+    ("g without u01", "coordgame.py",
+     "    ((0, 1, 3, 7), (0,), (0,), (1,)),\n", "    ((0, 1, 3, 7), (0,), (0,), ()),\n"),
+    ("h without s-", "coordgame.py",
+     "    ((2, 4, 5, 6), (0,), (), ()),\n", "    ((2, 4, 5, 6), (), (), ()),\n"),
 )
 
 

@@ -101,8 +101,11 @@ class PayoffTable:
         return self
 
     def payoffs_for(self, player):
-        """Player's payoffs (players count from 1), in label order."""
-        if not isinstance(player, numbers.Integral) or player not in range(1, self.players + 1):
+        """Player's payoffs (players count from 1), in label order.  player is
+        an integer that is not a bool: True and 2.0 compare equal to players
+        but are not."""
+        integer = isinstance(player, numbers.Integral) and not isinstance(player, bool)
+        if not integer or player not in range(1, self.players + 1):
             raise ValueError(
                 "player must be 1 to %d, got %r" % (self.players, player)
             )

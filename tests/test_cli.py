@@ -454,6 +454,21 @@ _PARRONDO_ARGV = st.tuples(
 ).map(lambda t: ["parrondo", "--game", t[0]] + t[1])
 
 
+_VERIFY_ARGV = _options([
+    ("--suite", st.sampled_from(list(verify.SUITE_NAMES) + ["all", "ALL", "none", ""])),
+    ("--samples", st.one_of(
+        st.integers(1, 8).map(str),
+        st.sampled_from(["0", "-3", "1.5", "1e3", "nan", "x", ""]),
+    )),
+    ("--seed", st.one_of(
+        st.integers(0, 2**64 - 1).map(str),
+        st.integers(-(2**70), 2**70).map(str),
+        st.sampled_from(["-1", str(2**64 - 1), str(2**64), "1.5", "1e3", "x", ""]),
+    )),
+    ("--format", st.sampled_from(["text", "json", "csv"])),
+]).map(lambda options: ["verify"] + options)
+
+
 def assert_exit_contract(argv):
     """main exits 0, 1 or 2 without a traceback, writes only error: lines
     to stderr, and on exit 2 writes nothing to stdout."""
@@ -479,6 +494,15 @@ _REPORT_WARNING_IGNORED = pytest.mark.filterwarnings(
 @given(st.one_of(_DISTRIBUTION_ARGV, _PARRONDO_ARGV))
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_exit_contract_holds_for_any_input(argv):
+    assert_exit_contract(argv)
+
+
+@_REPORT_WARNING_IGNORED
+@pytest.mark.filterwarnings("error")
+@given(_VERIFY_ARGV)
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_verify_holds_the_exit_contract(argv):
+    # --samples, when valid, stays at most 8, so every suite runs small.
     assert_exit_contract(argv)
 
 

@@ -439,9 +439,21 @@ class TestIndifference:
         game = random_game(rng)
         with pytest.raises(ValueError):
             indifference_check(1, game, 0, 1e-10)
-        for k in (0, 4, 1.0):
+        for k in (0, 4, 1.0, True):
             with pytest.raises(ValueError, match="player must be 1 to 3"):
                 indifference_check(k, game, 10, 1e-10)
+
+    def test_payoffs_for_rejects_bools_on_either_player_count(self):
+        # True == 1, so a range check alone reads it as player 1.
+        for players in (2, 3):
+            table = {label: list(range(players)) for label in outcome_labels(players)}
+            game = PayoffTable.from_outcome_table(table, players=players)
+            for k in range(1, players + 1):
+                npt.assert_array_equal(game.payoffs_for(k), [k - 1] * len(game.labels))
+                npt.assert_array_equal(game.payoffs_for(np.int64(k)), game.payoffs_for(k))
+            for k in (True, False, np.bool_(True), 2.0, players + 1):
+                with pytest.raises(ValueError, match="player must be 1 to %d" % players):
+                    game.payoffs_for(k)
 
     def test_flat_payoff_product_keeps_the_stacked_bytes(self):
         # indifference_check contracts (samples * 16, 8) probabilities with
