@@ -4,10 +4,10 @@ Each player's local SU(2) strategy embeds into a quaternion subalgebra of
 the octonions, after which the outcome distribution of the three player
 entangled game is a fixed quadratic expression in a handful of octonion
 products of sign variants of the embedded strategies, which the kernel
-folds into its terms' signs (_theorem1_probs).  The two player game reduces the
-same way to a single quaternion product.  Everything here is closed-form
-algebra with no state vectors, so the results can be checked against the
-independent simulation route in ``hypergames.qstate``.
+folds into its terms' signs (_theorem1_probs).  The two player game reduces
+the same way to a single quaternion product.  Everything here is
+closed-form algebra with no state vectors, so the results can be checked
+against the independent simulation route in ``hypergames.qstate``.
 
 Outcome labels use N (no flip) and F (flip).  The closed form indexes
 outcomes by octonion basis element rather than by label; the module-level

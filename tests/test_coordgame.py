@@ -507,10 +507,9 @@ def term_at_a_time_theorem1(s, t, u):
     probs = np.empty((8,) + np.broadcast_shapes(s.shape[1:], t.shape[1:], u.shape[1:]))
     for outputs, *flips in STATED_ROUTES:
         s_, t_, u_ = (negated(c, rows) for c, rows in zip((s, t, u), flips))
-        minus, plus = (
-            term_at_a_time_mul(term_at_a_time_mul(restricted(s_, part), t_, FULL_TABLE), u_, FULL_TABLE)
-            for part in ((0, 1), (2, 4))
-        )
+        parts = (restricted(s_, part) for part in ((0, 1), (2, 4)))
+        first = (term_at_a_time_mul(part, t_, FULL_TABLE) for part in parts)
+        minus, plus = (term_at_a_time_mul(st, u_, FULL_TABLE) for st in first)
         for k in outputs:
             probs[k] = minus[k] ** 2 + plus[k] ** 2
     return np.moveaxis(probs[LABEL_ORDER], 0, -1)

@@ -80,9 +80,16 @@ class TestGame3Payoffs:
                 [POKER_TABLE[label][k - 1] for label in outcome_labels(3)],
             )
         npt.assert_array_equal(game.payoffs_for(1), [-2, 0, -2, 2, 6, -4, 10, -3])
-        for player in (0, 4):
-            with pytest.raises(ValueError):
+        npt.assert_array_equal(game.payoffs_for(np.int64(3)), game.payoffs_for(3))
+        # True == 1, so a range check alone reads it as player 1.
+        for player in (0, 4, True, False, 2.0):
+            with pytest.raises(ValueError, match="player must be 1 to 3"):
                 game.payoffs_for(player)
+        two = PayoffTable.from_outcome_table({label: [0, 1] for label in outcome_labels(2)}, 2)
+        npt.assert_array_equal(two.payoffs_for(2), [1, 1, 1, 1])
+        for player in (3, True):
+            with pytest.raises(ValueError, match="player must be 1 to 2"):
+                two.payoffs_for(player)
 
     def test_zero_sum_defects(self):
         game = PayoffTable.from_outcome_table(POKER_TABLE, zero_sum_claimed=True)
@@ -442,18 +449,6 @@ class TestIndifference:
         for k in (0, 4, 1.0, True):
             with pytest.raises(ValueError, match="player must be 1 to 3"):
                 indifference_check(k, game, 10, 1e-10)
-
-    def test_payoffs_for_rejects_bools_on_either_player_count(self):
-        # True == 1, so a range check alone reads it as player 1.
-        for players in (2, 3):
-            table = {label: list(range(players)) for label in outcome_labels(players)}
-            game = PayoffTable.from_outcome_table(table, players=players)
-            for k in range(1, players + 1):
-                npt.assert_array_equal(game.payoffs_for(k), [k - 1] * len(game.labels))
-                npt.assert_array_equal(game.payoffs_for(np.int64(k)), game.payoffs_for(k))
-            for k in (True, False, np.bool_(True), 2.0, players + 1):
-                with pytest.raises(ValueError, match="player must be 1 to %d" % players):
-                    game.payoffs_for(k)
 
     def test_flat_payoff_product_keeps_the_stacked_bytes(self):
         # indifference_check contracts (samples * 16, 8) probabilities with
